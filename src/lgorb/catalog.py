@@ -202,8 +202,7 @@ def catalog_entry(key: str) -> CatalogEntry:
 
 
 @lru_cache(maxsize=None)
-def catalog_group(key: str, hat: bool = False) -> FiniteMatrixGroup:
-    """The closure of a catalog entry's generator words; hat adjoins -id."""
+def _base_group(key: str) -> FiniteMatrixGroup:
     entry = catalog_entry(key)
     generators = [word_matrix(w) for w in entry.generator_words]
     group = generate_closure(generators, words=list(entry.generator_words))
@@ -212,9 +211,15 @@ def catalog_group(key: str, hat: bool = False) -> FiniteMatrixGroup:
             f"catalog entry {key!r} closed to order {group.order}, "
             f"expected {entry.order}"
         )
-    if hat:
-        group = hat_extend(group)
     return group
+
+
+@lru_cache(maxsize=None)
+def catalog_group(key: str, hat: bool = False) -> FiniteMatrixGroup:
+    """The closure of a catalog entry's generator words; hat adjoins -id
+    to the cached closure."""
+    group = _base_group(key)
+    return hat_extend(group) if hat else group
 
 
 def expected(key: str, hat: bool = False) -> ExpectedResult:

@@ -7,8 +7,7 @@ Commands:
     lgorb verify [--all | --key <k>] [--hat]
 
 Exit codes: 0 success, 1 reference mismatch (verify), 2 input error,
-3 inadmissible group.  LGORB_THREADS caps the per-class worker count
-(0 = sequential).  Output files are written atomically.
+3 inadmissible group.  Output files are written atomically.
 """
 
 from __future__ import annotations
@@ -46,9 +45,17 @@ def _load_group_file(path: str) -> tuple[FiniteMatrixGroup, bool]:
         raise InputError(f"cannot read group file: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"group file is not valid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise InputError("group file must hold a JSON object")
     hat = bool(data.get("hat", False))
     words = data.get("generators")
     matrices = data.get("matrices")
+    if words is not None and not (
+        isinstance(words, list) and all(isinstance(w, str) for w in words)
+    ):
+        raise InputError("'generators' must be a list of word strings")
+    if matrices is not None and not isinstance(matrices, list):
+        raise InputError("'matrices' must be a list of matrices")
     if words:
         try:
             gens = [catalog.word_matrix(w) for w in words]
@@ -58,7 +65,7 @@ def _load_group_file(path: str) -> tuple[FiniteMatrixGroup, bool]:
     elif matrices:
         try:
             gens = [GMatrix.from_lists(m) for m in matrices]
-        except (LgorbError, ValueError, KeyError) as exc:
+        except (LgorbError, ValueError, KeyError, TypeError) as exc:
             raise InputError(f"bad matrix data: {exc}") from exc
         if any(g.n != gens[0].n or g.conductor != gens[0].conductor for g in gens):
             raise InputError("matrices must share dimension and conductor")
@@ -84,14 +91,6 @@ def _resolve_group(spec: str, hat_flag: bool) -> tuple[FiniteMatrixGroup, str]:
             group = hat_extend(group)
         return group, f"file:{os.path.basename(path)}" + ("^" if hat_flag or file_hat else "")
     raise InputError(f"group spec must be catalog:<key> or file:<path>, got {spec!r}")
-
-
-def _threads() -> int:
-    raw = os.environ.get("LGORB_THREADS", "0")
-    try:
-        return max(0, int(raw))
-    except ValueError:
-        return 0
 
 
 def _render_text(report: HHReport, label: str) -> str:
@@ -192,7 +191,7 @@ def _cmd_catalog_list(_args) -> int:
 def _cmd_compute(args) -> int:
     group, label = _resolve_group(args.group, args.hat)
     f, weights = catalog.klein_quartic()
-    report = compute_hh(f, group, weights, threads=_threads())
+    report = compute_hh(f, group, weights)
     if args.format == "json":
         payload = report.to_dict()
         payload["label"] = label
@@ -210,7 +209,7 @@ def _verify_one(key: str, hat: bool) -> tuple[str, bool]:
     want = catalog.expected(key, hat=hat)
     f, weights = catalog.klein_quartic()
     group = catalog.catalog_group(key, hat=hat)
-    report = compute_hh(f, group, weights, threads=_threads())
+    report = compute_hh(f, group, weights)
     identity_dim = sum(report.identity_dimension_vector)
     label = key + ("^" if hat else "")
     checks = [("total", report.total_dim, want.total_dim)]

@@ -364,7 +364,10 @@ class CycNum:
 
     @classmethod
     def from_dict(cls, data: dict) -> "CycNum":
-        coeffs = [Fraction(int(num), int(den)) for num, den in data["coeffs"]]
+        try:
+            coeffs = [Fraction(int(num), int(den)) for num, den in data["coeffs"]]
+        except ZeroDivisionError:
+            raise ValueError("coefficient with denominator 0") from None
         return cls.from_coeffs(int(data["conductor"]), coeffs)
 
 

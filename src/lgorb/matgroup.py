@@ -4,6 +4,13 @@ Groups are materialized as explicit element lists with structural
 deduplication (exact arithmetic makes hashing sound).  Closure is a
 breadth-first walk from the identity, so element order is deterministic:
 index 0 is the identity and indices follow generation order.
+
+Closure records each generator's right-multiplication permutation of the
+element indices.  All group structure (products, inverses, conjugacy
+classes, centralizers, subgroup generators, conjugacy of subgroups and the
+-id extension) comes from those integer tables, as in the permutation-group
+representation of Holt, Eick and O'Brien, Handbook of Computational Group
+Theory (2005), ch. 4: no matrix is multiplied or inverted after closure.
 """
 
 from __future__ import annotations
@@ -215,12 +222,19 @@ class ConjugacyData:
 
 
 class FiniteMatrixGroup:
-    """An explicitly enumerated finite group of invertible matrices."""
+    """An explicitly enumerated finite group of invertible matrices.
+
+    ``generator_tables[k]`` is the right-multiplication permutation of
+    generator k, as recorded during closure: entry i is the index of
+    ``elements[i] * elements[generator_indices[k]]``.  The generators must
+    generate the whole element list; construction raises otherwise.
+    """
 
     def __init__(
         self,
         elements: Sequence[GMatrix],
         generator_indices: Sequence[int],
+        generator_tables: Sequence[Sequence[int]],
         words: Optional[Sequence[str]] = None,
     ):
         self.elements = tuple(elements)
@@ -231,12 +245,48 @@ class FiniteMatrixGroup:
             raise ValueError("duplicate elements")
         self.order = len(self.elements)
         self.generator_indices = tuple(generator_indices)
+        self.generator_tables = tuple(tuple(t) for t in generator_tables)
+        if len(self.generator_tables) != len(self.generator_indices):
+            raise ValueError("need one table per generator")
         self.words = tuple(words) if words is not None else None
         self.n = self.elements[0].n
         self.conductor = self.elements[0].conductor
+        self._tree = self._spanning_tree()
+        self._right: Optional[list[tuple[int, ...]]] = None
         self._inverse_index: Optional[tuple[int, ...]] = None
         self._conjugacy: Optional[ConjugacyData] = None
-        self._mul_cache: dict[tuple[int, int], int] = {}
+
+    def _spanning_tree(self) -> tuple[tuple[int, int, int], ...]:
+        """Breadth-first tree over the generator tables, as (element,
+        parent, generator) in discovery order: element = parent * generator.
+        Raises unless the generators reach every element."""
+        seen = [False] * self.order
+        seen[0] = True
+        tree = []
+        reached = [0]
+        for parent in reached:  # reached doubles as the FIFO queue
+            for k, table in enumerate(self.generator_tables):
+                child = table[parent]
+                if not seen[child]:
+                    seen[child] = True
+                    tree.append((child, parent, k))
+                    reached.append(child)
+        if len(reached) != self.order:
+            raise ValueError("the generators do not generate the element list")
+        return tuple(tree)
+
+    def _right_tables(self) -> list[tuple[int, ...]]:
+        """Right-multiplication permutation of every element (the Cayley
+        table by columns): ``right[j][i]`` is the index of elements[i] *
+        elements[j].  Filled along the spanning tree, since
+        right[child] = right[parent] followed by the generator's table."""
+        if self._right is None:
+            right: list = [None] * self.order
+            right[0] = tuple(range(self.order))
+            for child, parent, k in self._tree:
+                right[child] = tuple(map(self.generator_tables[k].__getitem__, right[parent]))
+            self._right = right
+        return self._right
 
     # -- basic structure ---------------------------------------------------
 
@@ -261,90 +311,68 @@ class FiniteMatrixGroup:
 
     def inverse_index(self) -> tuple[int, ...]:
         if self._inverse_index is None:
-            self._inverse_index = tuple(
-                self.index[m.inverse()] for m in self.elements
-            )
+            self._inverse_index = tuple(col.index(0) for col in self._right_tables())
         return self._inverse_index
 
     def mul_index(self, i: int, j: int) -> int:
-        """Index of elements[i] * elements[j]; products are cached so group
-        structure queries amortize the matrix arithmetic."""
-        if i == 0:
-            return j
-        if j == 0:
-            return i
-        cached = self._mul_cache.get((i, j))
-        if cached is None:
-            cached = self.index[self.elements[i] * self.elements[j]]
-            self._mul_cache[(i, j)] = cached
-        return cached
+        """Index of elements[i] * elements[j]."""
+        return self._right_tables()[j][i]
 
     def determinants(self) -> tuple[CycNum, ...]:
         return tuple(m.det for m in self.elements)
 
     def is_admissible(self) -> bool:
-        """True iff every determinant is 1 or -1."""
+        """True iff every determinant is 1 or -1.  det is a homomorphism and
+        {1, -1} a subgroup, so the generators decide it."""
         one = CycNum.one(self.conductor)
-        return all(d == one or d == -one for d in self.determinants())
+        return all(g.det == one or g.det == -one for g in self.generators)
 
     def is_abelian(self) -> bool:
-        gens = self.generators or self.elements
-        return all(a * b == b * a for a in gens for b in gens)
+        tables, gens = self.generator_tables, self.generator_indices
+        return all(
+            tables[kb][a] == tables[ka][b]
+            for ka, a in enumerate(gens)
+            for kb, b in enumerate(gens)
+        )
 
     def subgroup_generator_indices(self, indices: Sequence[int]) -> list[int]:
         """Greedy small generating set (by index order) for a subgroup given
         as an element index set."""
-        have = {0}
-        gens: list[int] = []
-        for i in sorted(indices):
-            if i in have:
-                continue
-            gens.append(i)
-            seen = set(have)
-            queue = list(have)
-            while queue:
-                j = queue.pop()
-                for gi in gens:
-                    k = self.mul_index(j, gi)
-                    if k not in seen:
-                        seen.add(k)
-                        queue.append(k)
-            have = seen
-        return gens
+        return _greedy_generators(indices, self._right_tables().__getitem__)[0]
 
     # -- conjugacy ---------------------------------------------------------
 
     def conjugacy(self) -> ConjugacyData:
         if self._conjugacy is None:
-            gens = list(self.generator_indices) or list(range(self.order))
+            right = self._right_tables()
             inv = self.inverse_index()
-            gen_pairs = [(i, inv[i]) for i in gens]
+            # j -> g j g^-1 for each generator g, as an index map
+            conjugations = [
+                [right[inv[g]][right[j][g]] for j in range(self.order)]
+                for g in self.generator_indices
+            ]
             seen = [False] * self.order
             classes = []
             for start in range(self.order):
                 if seen[start]:
                     continue
-                orbit = {start}
-                queue = [start]
                 seen[start] = True
-                while queue:
-                    j = queue.pop()
-                    for gi, gii in gen_pairs:
-                        k = self.mul_index(self.mul_index(gi, j), gii)
+                orbit = [start]
+                for j in orbit:  # orbit doubles as the queue
+                    for perm in conjugations:
+                        k = perm[j]
                         if not seen[k]:
                             seen[k] = True
-                            orbit.add(k)
-                            queue.append(k)
+                            orbit.append(k)
                 classes.append((start, orbit))
             centralizers = {rep: self.centralizer(rep) for rep, _ in classes}
             self._conjugacy = ConjugacyData(classes, centralizers)
         return self._conjugacy
 
     def centralizer(self, i: int) -> tuple[int, ...]:
-        return tuple(
-            j for j in range(self.order)
-            if self.mul_index(j, i) == self.mul_index(i, j)
-        )
+        right = self._right_tables()
+        times_i = right[i]
+        return tuple(j for j in range(self.order) if times_i[j] == right[j][i])
 
     # -- serialization -----------------------------------------------------
 
@@ -355,6 +383,60 @@ class FiniteMatrixGroup:
             "generator_indices": list(self.generator_indices),
             "words": list(self.words) if self.words is not None else None,
         }
+
+
+def _greedy_generators(indices: Sequence[int], right_table) -> tuple[list[int], list]:
+    """Greedy small generating set, by index order, of the subgroup with
+    the given element indices: each generator is the first index outside
+    the subgroup generated by the earlier ones.  ``right_table(i)`` is the
+    right-multiplication permutation of element i; returns the generators
+    and their tables."""
+    seen = {0}
+    reached = [0]
+    gens: list[int] = []
+    tables: list = []
+    for i in sorted(indices):
+        if i in seen:
+            continue
+        gens.append(i)
+        tables.append(right_table(i))
+        for j in reached:  # reached grows while it is walked
+            for table in tables:
+                k = table[j]
+                if k not in seen:
+                    seen.add(k)
+                    reached.append(k)
+    return gens, tables
+
+
+def _closure(identity, step, count: int, words: Optional[Sequence[str]], cap: int):
+    """Breadth-first closure of ``identity`` under ``step(x, k)``, the
+    product of x with generator k (k < count).
+
+    Returns the elements in discovery order, each generator's
+    right-multiplication table and, when generator words are given, a word
+    per element.
+    """
+    elements = [identity]
+    index = {identity: 0}
+    tables: list[list[int]] = [[] for _ in range(count)]
+    elem_words = ["id"] if words is not None else None
+    for current, x in enumerate(elements):  # elements doubles as the FIFO queue
+        for k in range(count):
+            p = step(x, k)
+            j = index.get(p)
+            if j is None:
+                if len(elements) >= cap:
+                    raise ClosureCapExceededError(
+                        f"closure exceeded cap {cap}; group not finite or cap too low"
+                    )
+                j = index[p] = len(elements)
+                elements.append(p)
+                if elem_words is not None:
+                    prefix = "" if elem_words[current] == "id" else elem_words[current]
+                    elem_words.append(prefix + words[k])
+            tables[k].append(j)
+    return elements, tables, elem_words
 
 
 def generate_closure(
@@ -375,49 +457,48 @@ def generate_closure(
         raise ShapeError("generators must share dimension and conductor")
     for g in generators:
         g.require_invertible()
-    identity = GMatrix.identity(n, conductor)
-    track_words = words is not None
-    if track_words and len(words) != len(generators):
+    if words is not None and len(words) != len(generators):
         raise ValueError("need one word per generator")
-    elements = [identity]
-    elem_words = ["id"] if track_words else None
-    index = {identity: 0}
-    queue = [0]
-    while queue:
-        current = queue.pop(0)
-        m = elements[current]
-        for gi, g in enumerate(generators):
-            p = m * g
-            if p not in index:
-                if len(elements) >= cap:
-                    raise ClosureCapExceededError(
-                        f"closure exceeded cap {cap}; group not finite or cap too low"
-                    )
-                index[p] = len(elements)
-                elements.append(p)
-                if track_words:
-                    prefix = "" if elem_words[current] == "id" else elem_words[current]
-                    elem_words.append(prefix + words[gi])
-                queue.append(index[p])
-    generator_indices = [index[g] for g in generators]
-    return FiniteMatrixGroup(elements, generator_indices, elem_words)
+    elements, tables, elem_words = _closure(
+        GMatrix.identity(n, conductor),
+        lambda m, k: m * generators[k],
+        len(generators),
+        words,
+        cap,
+    )
+    return FiniteMatrixGroup(elements, [t[0] for t in tables], tables, elem_words)
 
 
 def from_elements(
     elements: Sequence[GMatrix], generator_indices: Optional[Sequence[int]] = None
 ) -> FiniteMatrixGroup:
-    """Wrap an already-closed element list (identity moved to the front)."""
+    """Wrap an already-closed element list (identity moved to the front).
+
+    Without generator indices, generators are picked greedily in index
+    order.  Raises ValueError if the list is not closed under
+    multiplication.
+    """
     elems = list(dict.fromkeys(elements))
     identity_pos = next((i for i, m in enumerate(elems) if m.is_identity()), None)
     if identity_pos is None:
         raise ValueError("element list does not contain the identity")
     if identity_pos != 0:
         elems.insert(0, elems.pop(identity_pos))
-    group = FiniteMatrixGroup(elems, generator_indices or [])
-    if not group.generator_indices:
-        gens = group.subgroup_generator_indices(range(group.order))
-        group.generator_indices = tuple(gens)
-    return group
+    index = {m: i for i, m in enumerate(elems)}
+
+    def right_table(i: int) -> list[int]:
+        g = elems[i]
+        try:
+            return [index[m * g] for m in elems]
+        except KeyError:
+            raise ValueError("element list is not closed under multiplication") from None
+
+    if generator_indices:
+        gens = list(generator_indices)
+        tables = [right_table(i) for i in gens]
+    else:
+        gens, tables = _greedy_generators(range(len(elems)), right_table)
+    return FiniteMatrixGroup(elems, gens, tables)
 
 
 def conjugacy_classes(group: FiniteMatrixGroup) -> ConjugacyData:
@@ -430,16 +511,30 @@ def centralizer(group: FiniteMatrixGroup, i: int) -> tuple[int, ...]:
 
 def hat_extend(group: FiniteMatrixGroup) -> FiniteMatrixGroup:
     """The central extension {+g, -g}; warns and returns the input unchanged
-    if -id is already present."""
+    if -id is already present.
+
+    The closure walks (sign, index) pairs through the group's generator
+    tables, with -id as the last generator, so it multiplies no matrices
+    and yields the same elements, words and generator indices as closing
+    the generators plus -id.
+    """
     minus_id = -GMatrix.identity(group.n, group.conductor)
     if minus_id in group.index:
         warnings.warn("-id already present; group returned unchanged")
         return group
-    gens = list(group.generators) + [minus_id]
+    base_tables = group.generator_tables
+    minus = len(base_tables)
+
+    def step(pair, k):
+        sign, i = pair
+        return (-sign, i) if k == minus else (sign, base_tables[k][i])
+
     gen_words = None
     if group.words is not None:
         gen_words = [group.words[i] for i in group.generator_indices] + ["-I"]
-    return generate_closure(gens, cap=2 * group.order + 1, words=gen_words)
+    pairs, tables, words = _closure((1, 0), step, minus + 1, gen_words, 2 * group.order)
+    elements = [group.elements[i] if sign > 0 else -group.elements[i] for sign, i in pairs]
+    return FiniteMatrixGroup(elements, [t[0] for t in tables], tables, words)
 
 
 def groups_conjugate(
@@ -447,14 +542,20 @@ def groups_conjugate(
 ) -> Optional[GMatrix]:
     """Some h in the ambient group with h G1 h^-1 = G2 (as sets), or None.
 
-    Brute force over the ambient elements; the ambient groups here have at
-    most a few hundred elements.
+    Both groups must lie in the ambient group.  Brute force over the
+    ambient elements, by table lookup.
     """
     if g1.order != g2.order:
         return None
-    target = g2.element_set()
-    for h in ambient.elements:
-        hinv = h.inverse()
-        if all(h * m * hinv in target for m in g1.elements):
-            return h
+    try:
+        members = [ambient.index[m] for m in g1.elements]
+        target = {ambient.index[m] for m in g2.elements}
+    except KeyError:
+        raise ValueError("both groups must lie in the ambient group") from None
+    right = ambient._right_tables()
+    inv = ambient.inverse_index()
+    for h in range(ambient.order):
+        times_hinv = right[inv[h]]
+        if all(times_hinv[right[m][h]] in target for m in members):
+            return ambient.elements[h]
     return None

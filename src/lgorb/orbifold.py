@@ -17,8 +17,6 @@ depend on that choice.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -372,11 +370,15 @@ def _class_report(
 
 
 def _validate_group(f: Poly, group: FiniteMatrixGroup):
+    """Generator checks suffice: det is a homomorphism, {1, -1} a subgroup,
+    and the generators generate the group (FiniteMatrixGroup enforces it)."""
     one = CycNum.one(group.conductor)
-    for i, d in enumerate(group.determinants()):
+    for i in group.generator_indices:
+        d = group.elements[i].det
         if d != one and d != -one:
+            name = group.word_for(i) or f"#{i}"
             raise InadmissibleGroupError(
-                f"element {i} has determinant {d}, not +/-1"
+                f"generator {name} has determinant {d}, not +/-1"
             )
     for g in group.generators:
         if substitute_linear(f, g.rows) != f:
@@ -387,31 +389,19 @@ def compute_hh(
     f: Poly,
     group: FiniteMatrixGroup,
     weights: Optional[WeightSystem] = None,
-    threads: Optional[int] = None,
 ) -> HHReport:
     """Invariant dimensions of the orbifold state space of (f, group).
 
     One report per conjugacy class: the Z(g)-invariants of Jac(f^g) xi_g.
-    Classes may be evaluated concurrently (threads > 1); inputs are
-    immutable and the merge is an ordered list, so results do not depend
-    on scheduling.
     """
     _validate_group(f, group)
     if weights is None:
         weights = WeightSystem([1] * f.arity, f.total_degree())
     conj = group.conjugacy()
-    if threads is None:
-        threads = int(os.environ.get("LGORB_THREADS", "0") or 0)
-
-    def run(item):
-        rep, members = item
-        return _class_report(f, group, rep, members, conj.centralizers[rep], weights)
-
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            reports = list(pool.map(run, conj.classes))
-    else:
-        reports = [run(item) for item in conj.classes]
+    reports = [
+        _class_report(f, group, rep, members, conj.centralizers[rep], weights)
+        for rep, members in conj.classes
+    ]
     identity_report = next(r for r in reports if r.rep_index == 0)
     top = sum(weights.total - 2 * w for w in weights.weights)
     idvec = list(identity_report.degree_dims)

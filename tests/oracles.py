@@ -126,3 +126,68 @@ def grevlex_reference(m1, m2) -> int:
         if a != b:
             return 1 if a - b < 0 else -1
     return 0
+
+
+def matrix_inverse_index(group) -> tuple[int, ...]:
+    """Index of each element's inverse, by Gauss-Jordan inversion of the
+    matrices (the table-free route to FiniteMatrixGroup.inverse_index)."""
+    return tuple(group.index[m.inverse()] for m in group.elements)
+
+
+def matrix_conjugacy_classes(group) -> list[tuple[int, tuple[int, ...]]]:
+    """Conjugacy classes as (first index, sorted members): orbits of
+    conjugation by the generators, computed with matrix products."""
+    gen_pairs = [(g, g.inverse()) for g in group.generators]
+    seen = [False] * group.order
+    classes = []
+    for start in range(group.order):
+        if seen[start]:
+            continue
+        seen[start] = True
+        orbit = [start]
+        for j in orbit:
+            m = group.elements[j]
+            for g, ginv in gen_pairs:
+                k = group.index[g * m * ginv]
+                if not seen[k]:
+                    seen[k] = True
+                    orbit.append(k)
+        classes.append((start, tuple(sorted(orbit))))
+    return classes
+
+
+def matrix_centralizer(group, i: int) -> tuple[int, ...]:
+    """Indices of the elements commuting with element i.  m g and g m are
+    compared entry by entry, stopping at the first entry that differs."""
+    g = group.elements[i].rows
+    size = range(len(g))
+
+    def entry(a, b, r, c):
+        return sum((a[r][k] * b[k][c] for k in size[1:]), a[r][0] * b[0][c])
+
+    return tuple(
+        j
+        for j, m in enumerate(group.elements)
+        if all(entry(m.rows, g, r, c) == entry(g, m.rows, r, c) for r in size for c in size)
+    )
+
+
+def matrix_greedy_generators(elements) -> list[int]:
+    """The index-order greedy generating set of an element list with the
+    identity first: each generator is the first element outside the
+    subgroup generated by the earlier ones, closed with matrix products."""
+    have = {elements[0]}
+    gens: list[int] = []
+    for i, m in enumerate(elements):
+        if m in have:
+            continue
+        gens.append(i)
+        queue = list(have)
+        while queue:
+            x = queue.pop()
+            for j in gens:
+                p = x * elements[j]
+                if p not in have:
+                    have.add(p)
+                    queue.append(p)
+    return gens

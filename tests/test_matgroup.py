@@ -1,9 +1,11 @@
+import random
 import warnings
 
 import pytest
 
+import oracles
 from lgorb import linalg
-from lgorb.catalog import catalog_group, generator_matrix, word_matrix
+from lgorb.catalog import CATALOG_KEYS, catalog_group, generator_matrix, word_matrix
 from lgorb.errors import ClosureCapExceededError, SingularMatrixError
 from lgorb.exactnum import CycNum, zeta
 from lgorb.matgroup import (
@@ -253,3 +255,67 @@ def test_group_serialization(slf):
     assert data["conductor"] == 28
     restored = [GMatrix.from_lists(m) for m in data["matrices"]]
     assert restored == list(small.elements)
+
+
+def _assert_structure_matches_oracle(group, pairs=None):
+    """Table-derived structure against the matrix-product oracles; mul_index
+    on every pair, or on the given sample of pairs."""
+    assert group.inverse_index() == oracles.matrix_inverse_index(group)
+    data = conjugacy_classes(group)
+    classes = oracles.matrix_conjugacy_classes(group)
+    assert data.classes == tuple(classes)
+    assert data.centralizers == {
+        rep: oracles.matrix_centralizer(group, rep) for rep, _ in classes
+    }
+    if pairs is None:
+        pairs = [(i, j) for i in range(group.order) for j in range(group.order)]
+    for i, j in pairs:
+        assert group.mul_index(i, j) == group.index[group.elements[i] * group.elements[j]]
+
+
+@pytest.mark.parametrize("hat", [False, True], ids=["base", "hat"])
+@pytest.mark.parametrize("key", CATALOG_KEYS)
+def test_table_structure_matches_matrix_oracle(key, hat):
+    group = catalog_group(key, hat=hat)
+    pairs = None
+    if group.order > 24:  # a seeded sample keeps the matrix products few
+        rng = random.Random(group.order)
+        pairs = [(rng.randrange(group.order), rng.randrange(group.order)) for _ in range(150)]
+    _assert_structure_matches_oracle(group, pairs)
+
+
+def test_from_elements_conjugates_match_matrix_oracle(slf):
+    rng = random.Random(20261017)
+    for key in ("c", "g", "h", "i", "j"):
+        base = catalog_group(key)
+        h = slf.elements[rng.randrange(1, slf.order)]
+        hinv = h.inverse()
+        conjugated = [h * m * hinv for m in base.elements]
+        rng.shuffle(conjugated)
+        group = from_elements(conjugated)
+        assert group.elements[0].is_identity()
+        assert list(group.generator_indices) == oracles.matrix_greedy_generators(group.elements)
+        _assert_structure_matches_oracle(group)
+        assert group.subgroup_generator_indices(range(group.order)) == list(
+            group.generator_indices
+        )
+
+
+def test_from_elements_rejects_unclosed_lists():
+    S = generator_matrix("S")
+    with pytest.raises(ValueError):
+        from_elements([GMatrix.identity(3, 28), S, S * S])
+
+
+@pytest.mark.parametrize("key", CATALOG_KEYS)
+def test_hat_extend_matches_closure_with_minus_identity(key):
+    group = catalog_group(key)
+    hat = hat_extend(group)
+    closed = generate_closure(
+        list(group.generators) + [generator_matrix("-I")],
+        words=[group.words[i] for i in group.generator_indices] + ["-I"],
+    )
+    assert hat.elements == closed.elements
+    assert hat.words == closed.words
+    assert hat.generator_indices == closed.generator_indices
+    assert hat.generator_tables == closed.generator_tables

@@ -116,7 +116,7 @@ def test_cli_inadmissible_group_exit_3(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(bad))
     assert cli.main(["compute", "--group", f"file:{path}"]) == cli.EXIT_INADMISSIBLE
-    assert "determinant" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith("error: generator #1 has determinant ")
 
 
 def test_cli_input_errors_exit_2(tmp_path, capsys):
@@ -139,6 +139,28 @@ def test_cli_input_errors_exit_2(tmp_path, capsys):
     bad_word.write_text(json.dumps({"generators": ["Q^2"]}))
     assert cli.main(["compute", "--group", f"file:{bad_word}"]) == cli.EXIT_INPUT
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        ("[1, 2]", "error: group file must hold a JSON object\n"),
+        ('{"generators": "RS"}', "error: 'generators' must be a list of word strings\n"),
+        (
+            json.dumps({"matrices": [[[{"conductor": 28, "coeffs": [["1", "0"]]}]]]}),
+            "error: bad matrix data: coefficient with denominator 0\n",
+        ),
+        ('{"matrices": "abc"}', "error: 'matrices' must be a list of matrices\n"),
+    ],
+    ids=["top-level-list", "generators-string", "zero-denominator", "matrices-string"],
+)
+def test_cli_malformed_group_file_exit_2(tmp_path, capsys, content, message):
+    path = tmp_path / "group.json"
+    path.write_text(content)
+    assert cli.main(["compute", "--group", f"file:{path}"]) == cli.EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.err == message
+    assert captured.out == ""
 
 
 def test_cli_verify_single_keys(capsys):
@@ -177,10 +199,9 @@ def test_cli_verify_all_reports_documented_mismatches(capsys):
     assert len(infos) == 1 and "j" in infos[0]
 
 
-def test_cli_verify_all_is_deterministic(capsys, monkeypatch):
+def test_cli_verify_all_is_deterministic(capsys):
     cli.main(["verify", "--all"])
     first = capsys.readouterr().out
-    monkeypatch.setenv("LGORB_THREADS", "4")
     cli.main(["verify", "--all"])
     second = capsys.readouterr().out
     assert first == second
