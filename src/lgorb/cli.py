@@ -47,7 +47,9 @@ def _load_group_file(path: str) -> tuple[FiniteMatrixGroup, bool]:
         raise InputError(f"group file is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise InputError("group file must hold a JSON object")
-    hat = bool(data.get("hat", False))
+    hat = data.get("hat", False)
+    if not isinstance(hat, bool):
+        raise InputError("'hat' must be true or false")
     words = data.get("generators")
     matrices = data.get("matrices")
     if words is not None and not (

@@ -37,5 +37,9 @@ class NotASymmetryError(LgorbError, ValueError):
     """Raised when a matrix does not preserve the polynomial it should act on."""
 
 
+class GradingError(LgorbError, ValueError):
+    """Raised when a sector action mixes the degrees of a graded sector algebra."""
+
+
 class WordParseError(LgorbError, ValueError):
     """Raised on malformed generator words."""

@@ -19,12 +19,16 @@ def _as_rows(matrix) -> list[list[CycNum]]:
     return [list(row) for row in matrix]
 
 
-def rref(matrix) -> tuple[list[list[CycNum]], list[int]]:
-    """Reduced row echelon form; returns (rows, pivot column indices)."""
+def rref(matrix, pivot_columns: int | None = None) -> tuple[list[list[CycNum]], list[int]]:
+    """Reduced row echelon form; returns (rows, pivot column indices).
+
+    With `pivot_columns` set, pivots are sought only among the first that
+    many columns; the remaining columns are carried along by the row
+    operations (an augmented matrix)."""
     rows = _as_rows(matrix)
     if not rows:
         return [], []
-    ncols = len(rows[0])
+    ncols = len(rows[0]) if pivot_columns is None else pivot_columns
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
@@ -133,22 +137,35 @@ def invert(matrix) -> list[list[CycNum]]:
     return [row[n:] for row in reduced]
 
 
-def solve(matrix, rhs: Sequence[CycNum]) -> list[CycNum] | None:
-    """One solution of A x = b, or None if inconsistent."""
+def solve(matrix, rhs_columns: Sequence[Sequence[CycNum]]) -> list[list[CycNum] | None]:
+    """One solution of A x = b for each right-hand side b, or None where
+    A x = b is inconsistent.
+
+    A single rref of [A | b_1 ... b_m], pivoting only in A's columns,
+    serves every right-hand side: b_k is consistent exactly when its
+    column vanishes below the rank.  Free unknowns are set to 0.  A matrix
+    without rows gives None for every column.
+    """
     rows = _as_rows(matrix)
     if not rows:
-        return None
+        return [None] * len(rhs_columns)
+    if any(len(b) != len(rows) for b in rhs_columns):
+        raise ShapeError("every right-hand side needs one entry per matrix row")
     ncols = len(rows[0])
-    conductor = rhs[0].conductor if rhs else rows[0][0].conductor
-    aug = [row + [b] for row, b in zip(rows, rhs)]
-    reduced, pivots = rref(aug)
-    if ncols in pivots:
-        return None
-    zero = CycNum.zero(conductor)
-    x = [zero] * ncols
-    for i, c in enumerate(pivots):
-        x[c] = reduced[i][ncols]
-    return x
+    aug = [row + [b[i] for b in rhs_columns] for i, row in enumerate(rows)]
+    reduced, pivots = rref(aug, pivot_columns=ncols)
+    rank = len(pivots)
+    zero = CycNum.zero(rows[0][0].conductor) if ncols else None
+    out: list[list[CycNum] | None] = []
+    for k in range(ncols, ncols + len(rhs_columns)):
+        if any(reduced[i][k] for i in range(rank, len(reduced))):
+            out.append(None)
+            continue
+        x = [zero] * ncols
+        for i, c in enumerate(pivots):
+            x[c] = reduced[i][k]
+        out.append(x)
+    return out
 
 
 def column_space_basis(columns: Sequence[Vector]) -> list[Vector]:
@@ -167,4 +184,4 @@ def in_span(columns: Sequence[Vector], vec: Vector) -> bool:
     if not columns:
         return False
     matrix = [list(row) for row in zip(*columns)]
-    return solve(matrix, list(vec)) is not None
+    return solve(matrix, [list(vec)])[0] is not None

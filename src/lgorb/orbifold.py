@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from lgorb import linalg
-from lgorb.errors import InadmissibleGroupError, NotASymmetryError
+from lgorb.errors import GradingError, InadmissibleGroupError, NotASymmetryError
 from lgorb.exactnum import CycNum
 from lgorb.jacobian import JacobianAlgebra, jacobian_algebra, normal_form
 from lgorb.matgroup import FiniteMatrixGroup, GMatrix, fixed_space_with_free
@@ -76,9 +76,15 @@ def _complement_indices(fix_basis, n: int, conductor: int) -> tuple[int, ...]:
 
 
 def build_sector(f: Poly, g: GMatrix, weights: Optional[WeightSystem] = None) -> Sector:
-    """Fixed locus, restriction and Jacobian algebra data for one element."""
+    """Fixed locus, restriction and Jacobian algebra data for one element;
+    raises NotASymmetryError unless g preserves f."""
     if substitute_linear(f, g.rows) != f:
         raise NotASymmetryError("matrix does not preserve the polynomial")
+    return _build_sector(f, g, weights)
+
+
+def _build_sector(f: Poly, g: GMatrix, weights: Optional[WeightSystem]) -> Sector:
+    """`build_sector` for a g already known to preserve f."""
     basis, free_rows = fixed_space_with_free(g)
     restricted = restrict_to_subspace(f, basis)
     if basis:
@@ -123,6 +129,11 @@ def sector_action(h: GMatrix, sector: Sector) -> Matrix:
     standard monomial basis of the sector algebra."""
     if h * sector.g != sector.g * h:
         raise ValueError("sector_action is only defined for centralizing elements")
+    return _sector_action(h, sector)
+
+
+def _sector_action(h: GMatrix, sector: Sector) -> Matrix:
+    """`sector_action` for an h already known to commute with sector.g."""
     algebra = sector.algebra
     mu = algebra.milnor
     scale = _sector_rho(h, sector)
@@ -132,11 +143,11 @@ def sector_action(h: GMatrix, sector: Sector) -> Matrix:
     ainv = linalg.invert(a)
     k = sector.fix_dim
     ainv_columns = [tuple(ainv[i][c] for i in range(k)) for c in range(k)]
-    columns = []
-    images = _monomial_images(algebra, ainv_columns)
-    for img in images:
-        vec = algebra.vector(img)
-        columns.append(tuple(v * scale for v in vec))
+    columns = [algebra.vector(img) for img in _monomial_images(algebra, ainv_columns)]
+    if scale == -CycNum.one(scale.conductor):
+        columns = [tuple(-v for v in col) for col in columns]
+    elif not scale.is_one():
+        columns = [tuple(v * scale for v in col) for col in columns]
     return tuple(tuple(columns[j][i] for j in range(mu)) for i in range(mu))
 
 
@@ -311,7 +322,7 @@ def _degree_blocks(matrix: Matrix, slices: Sequence[range]) -> list[Matrix]:
     for i in range(len(matrix)):
         for j in range(len(matrix)):
             if block_of[i] != block_of[j] and matrix[i][j]:
-                raise AssertionError("sector action does not preserve the grading")
+                raise GradingError("sector action does not preserve the grading")
     return [tuple(tuple(matrix[i][j] for j in rng) for i in rng) for rng in slices]
 
 
@@ -324,7 +335,7 @@ def _class_report(
     weights: Optional[WeightSystem],
 ) -> SectorReport:
     g = group.elements[rep]
-    sector = build_sector(f, g, weights)
+    sector = _build_sector(f, g, weights)
     algebra = sector.algebra
     zgens = [i for i in group.subgroup_generator_indices(centralizer) if i != 0]
     slices = algebra.degree_slices()
@@ -337,7 +348,7 @@ def _class_report(
             for i in range(algebra.milnor)
         ]
     else:
-        actions = [sector_action(group.elements[i], sector) for i in zgens]
+        actions = [_sector_action(group.elements[i], sector) for i in zgens]
         per_block = [_degree_blocks(m, slices) for m in actions]
         dims = []
         basis_vectors = []
@@ -442,6 +453,12 @@ def identity_sector_products(
     """Products of identity-sector invariant classes, re-expressed over the
     invariant basis.
 
+    Every pair product b_i b_j (i <= j) is written as a vector over the
+    Jacobian algebra's monomial basis, and all of them are solved against
+    the invariant basis in one elimination (`linalg.solve` with one
+    right-hand side per pair).  A product outside the invariant span
+    raises ValueError.
+
     An explicit basis of invariant classes may be supplied (its classes
     must span the invariant subspace); otherwise the computed one is used.
     """
@@ -465,15 +482,15 @@ def identity_sector_products(
         basis = report.invariant_basis
         vectors = [algebra.vector(p) for p in basis]
     matrix = [list(row) for row in zip(*vectors)]
-    products = {}
-    for i in range(len(basis)):
-        for j in range(i, len(basis)):
-            vec = algebra.vector(basis[i] * basis[j])
-            coeffs = linalg.solve(matrix, list(vec))
-            if coeffs is None:
-                raise ValueError("product left the invariant subspace")
-            products[(i, j)] = tuple(coeffs)
-    return ProductTable(basis=basis, products=products)
+    pairs = [(i, j) for i in range(len(basis)) for j in range(i, len(basis))]
+    rhs = [algebra.vector(basis[i] * basis[j]) for i, j in pairs]
+    solutions = linalg.solve(matrix, rhs)
+    if any(coeffs is None for coeffs in solutions):
+        raise ValueError("product left the invariant subspace")
+    return ProductTable(
+        basis=basis,
+        products={pair: tuple(coeffs) for pair, coeffs in zip(pairs, solutions)},
+    )
 
 
 def _is_invariant_vector(vec, group: FiniteMatrixGroup, algebra: JacobianAlgebra) -> bool:

@@ -79,7 +79,7 @@ def slice_reduce(p: Poly, f: Poly, degree: int, basis_monomials) -> dict:
     for m, c in p.terms.items():
         rhs[index[m]] = c
     matrix = [[columns[j][i] for j in range(len(columns))] for i in range(len(slice_mons))]
-    solution = linalg.solve(matrix, rhs)
+    solution = linalg.solve(matrix, [rhs])[0]
     if solution is None:
         raise ValueError("class is not a combination of ideal and basis monomials")
     return {m: solution[njac + k] for k, m in enumerate(basis_monomials)}
@@ -191,3 +191,33 @@ def matrix_greedy_generators(elements) -> list[int]:
                     have.add(p)
                     queue.append(p)
     return gens
+
+
+def augmented_solve(matrix, rhs) -> list | None:
+    """One solution of A x = b from the rref of the single augmented matrix
+    [A | b], or None when b's column is a pivot (the system is inconsistent).
+    Free unknowns are 0.  This is the one-right-hand-side-at-a-time route
+    to linalg.solve."""
+    ncols = len(matrix[0])
+    reduced, pivots = linalg.rref([list(row) + [b] for row, b in zip(matrix, rhs)])
+    if ncols in pivots:
+        return None
+    x = [CycNum.zero(matrix[0][0].conductor)] * ncols
+    for i, c in enumerate(pivots):
+        x[c] = reduced[i][ncols]
+    return x
+
+
+def pairwise_product_table(algebra, basis) -> dict:
+    """Products b_i b_j (i <= j) of invariant classes over the basis, one
+    elimination per pair (the route to identity_sector_products that
+    solves each product on its own)."""
+    matrix = [list(row) for row in zip(*(algebra.vector(p) for p in basis))]
+    products = {}
+    for i in range(len(basis)):
+        for j in range(i, len(basis)):
+            coeffs = augmented_solve(matrix, algebra.vector(basis[i] * basis[j]))
+            if coeffs is None:
+                raise ValueError("product left the invariant subspace")
+            products[(i, j)] = tuple(coeffs)
+    return products

@@ -4,20 +4,18 @@ from fractions import Fraction
 import pytest
 
 from lgorb import linalg
-from lgorb.errors import SingularMatrixError
+from lgorb.errors import ShapeError, SingularMatrixError
 from lgorb.exactnum import CycNum, zeta
+
+from oracles import augmented_solve
+
+
+def _rand_entry(rng, conductor=7):
+    return CycNum.from_coeffs(conductor, [Fraction(rng.randint(-3, 3)) for _ in range(6)])
 
 
 def _rand_matrix(rng, n, conductor=7):
-    return [
-        [
-            CycNum.from_coeffs(
-                conductor, [Fraction(rng.randint(-3, 3)) for _ in range(6)]
-            )
-            for _ in range(n)
-        ]
-        for _ in range(n)
-    ]
+    return [[_rand_entry(rng, conductor) for _ in range(n)] for _ in range(n)]
 
 
 def test_rref_and_kernel_convention():
@@ -77,8 +75,8 @@ def test_invert_and_solve():
     with pytest.raises(SingularMatrixError):
         linalg.invert(singular)
     inconsistent = linalg.solve(
-        [[CycNum.one(7)], [CycNum.one(7)]], [CycNum.one(7), CycNum.from_rational(2, 7)]
-    )
+        [[CycNum.one(7)], [CycNum.one(7)]], [[CycNum.one(7), CycNum.from_rational(2, 7)]]
+    )[0]
     assert inconsistent is None
 
 
@@ -89,3 +87,54 @@ def test_in_span_and_column_space():
     assert not linalg.in_span(cols, (one, zero, zero))
     basis = linalg.column_space_basis(list(cols) + [(one, one, CycNum.from_rational(2, 7))])
     assert len(basis) == 2
+
+
+def _mat_vec(matrix, x):
+    return [sum((a * b for a, b in zip(row[1:], x[1:])), row[0] * x[0]) for row in matrix]
+
+
+def _rand_system(rng, nrows, ncols, deficient):
+    """A random matrix, rank-deficient on request (its last column is a
+    combination of the others), and right-hand sides of every kind:
+    consistent images A y, the zero column, and random columns, which are
+    almost surely inconsistent when A is rank-deficient or tall."""
+    matrix = [[_rand_entry(rng) for _ in range(ncols)] for _ in range(nrows)]
+    if deficient:
+        a, b = _rand_entry(rng), _rand_entry(rng)
+        for row in matrix:
+            row[-1] = a * row[0] + b * row[1]
+    zero = CycNum.zero(7)
+    rhs = [_mat_vec(matrix, [_rand_entry(rng) for _ in range(ncols)]) for _ in range(3)]
+    rhs.append([zero] * nrows)
+    rhs += [[_rand_entry(rng) for _ in range(nrows)] for _ in range(2)]
+    rng.shuffle(rhs)
+    return matrix, rhs
+
+
+@pytest.mark.parametrize("deficient", [False, True], ids=["full-rank", "rank-deficient"])
+def test_multi_column_solve_matches_column_by_column(deficient):
+    rng = random.Random(11 + deficient)
+    shapes = [(3, 3), (4, 3), (4, 4), (5, 3), (5, 4), (6, 4)]
+    seen = {"consistent": 0, "inconsistent": 0}
+    for nrows, ncols in shapes:
+        matrix, rhs = _rand_system(rng, nrows, ncols, deficient)
+        assert linalg.rank(matrix) == ncols - deficient
+        solutions = linalg.solve(matrix, rhs)
+        assert len(solutions) == len(rhs)
+        for b, x in zip(rhs, solutions):
+            assert x == augmented_solve(matrix, b)
+            if x is None:
+                seen["inconsistent"] += 1
+            else:
+                seen["consistent"] += 1
+                assert _mat_vec(matrix, x) == b
+        zero_column = [CycNum.zero(7)] * nrows
+        assert linalg.solve(matrix, [zero_column]) == [[CycNum.zero(7)] * ncols]
+        assert linalg.solve(matrix, []) == []
+    assert seen["consistent"] and seen["inconsistent"]
+
+
+def test_solve_rejects_right_hand_sides_of_the_wrong_length():
+    one = CycNum.one(7)
+    with pytest.raises(ShapeError):
+        linalg.solve([[one], [one]], [[one]])

@@ -2,11 +2,13 @@ import pytest
 
 from lgorb import linalg
 from lgorb.catalog import catalog_group, generator_matrix, word_matrix
-from lgorb.errors import InadmissibleGroupError, NotASymmetryError
+from lgorb.errors import GradingError, InadmissibleGroupError, NotASymmetryError
 from lgorb.exactnum import CycNum
+from lgorb.jacobian import jacobian_algebra
 from lgorb.matgroup import GMatrix, generate_closure, from_elements
 from lgorb.orbifold import (
     HHReport,
+    _degree_blocks,
     build_sector,
     compute_hh,
     identity_sector_products,
@@ -17,6 +19,7 @@ from lgorb.orbifold import (
     surface_cohomology_dim,
 )
 from lgorb.polyring import Poly
+from oracles import pairwise_product_table
 
 
 def test_surface_cohomology_dim():
@@ -295,6 +298,23 @@ def test_identity_sector_products_unit_law(klein):
             for k in range(len(table.basis))
         ]
         assert list(coeffs) == expected
+
+
+@pytest.mark.parametrize("key, hat", [("b", False), ("c", False), ("e", True), ("j", False)])
+def test_identity_sector_products_match_pairwise_oracle(klein, key, hat):
+    f, w = klein
+    table = identity_sector_products(f, catalog_group(key, hat=hat), w)
+    expected = pairwise_product_table(jacobian_algebra(f, w), table.basis)
+    assert list(table.products) == list(expected)
+    assert table.products == expected
+
+
+def test_degree_blocks_rejects_mixed_degrees():
+    one, zero = CycNum.one(28), CycNum.zero(28)
+    mixing = ((one, one), (zero, one))
+    assert _degree_blocks(mixing, [range(0, 2)]) == [mixing]
+    with pytest.raises(GradingError, match="^sector action does not preserve the grading$"):
+        _degree_blocks(mixing, [range(0, 1), range(1, 2)])
 
 
 def test_report_json_roundtrip(klein):

@@ -5,7 +5,7 @@ import pytest
 
 from lgorb import cli
 from lgorb.catalog import generator_matrix, word_matrix
-from lgorb.errors import WordParseError
+from lgorb.errors import GradingError, WordParseError
 from lgorb.orbifold import HHReport
 from lgorb.words import GeneratorWord, parse_word
 
@@ -151,8 +151,15 @@ def test_cli_input_errors_exit_2(tmp_path, capsys):
             "error: bad matrix data: coefficient with denominator 0\n",
         ),
         ('{"matrices": "abc"}', "error: 'matrices' must be a list of matrices\n"),
+        ('{"generators": ["RS^3"], "hat": "false"}', "error: 'hat' must be true or false\n"),
     ],
-    ids=["top-level-list", "generators-string", "zero-denominator", "matrices-string"],
+    ids=[
+        "top-level-list",
+        "generators-string",
+        "zero-denominator",
+        "matrices-string",
+        "hat-string",
+    ],
 )
 def test_cli_malformed_group_file_exit_2(tmp_path, capsys, content, message):
     path = tmp_path / "group.json"
@@ -160,6 +167,17 @@ def test_cli_malformed_group_file_exit_2(tmp_path, capsys, content, message):
     assert cli.main(["compute", "--group", f"file:{path}"]) == cli.EXIT_INPUT
     captured = capsys.readouterr()
     assert captured.err == message
+    assert captured.out == ""
+
+
+def test_cli_grading_error_is_one_line_exit_2(monkeypatch, capsys):
+    def mixing(*_args):
+        raise GradingError("sector action does not preserve the grading")
+
+    monkeypatch.setattr(cli, "compute_hh", mixing)
+    assert cli.main(["compute", "--group", "catalog:a"]) == cli.EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.err == "error: sector action does not preserve the grading\n"
     assert captured.out == ""
 
 
