@@ -15,7 +15,7 @@ from lgorb.catalog import (
     klein_quartic,
     word_matrix,
 )
-from lgorb.exactnum import CycNum, Rational, cyclotomic_polynomial, lift_conductor, zeta
+from lgorb.exactnum import CycNum, Rational, cyclotomic_polynomial, zeta
 from lgorb.jacobian import (
     GroebnerBasis,
     JacobianAlgebra,
@@ -101,7 +101,6 @@ __all__ = [
     "jacobian_algebra",
     "kernel_backend",
     "klein_quartic",
-    "lift_conductor",
     "normal_form",
     "parse_word",
     "partial_derivative",

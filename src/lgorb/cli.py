@@ -69,8 +69,16 @@ def _load_group_file(path: str) -> tuple[FiniteMatrixGroup, bool]:
             gens = [GMatrix.from_lists(m) for m in matrices]
         except (LgorbError, ValueError, KeyError, TypeError) as exc:
             raise InputError(f"bad matrix data: {exc}") from exc
-        if any(g.n != gens[0].n or g.conductor != gens[0].conductor for g in gens):
-            raise InputError("matrices must share dimension and conductor")
+        if any(g.n != gens[0].n for g in gens):
+            raise InputError("matrices must share one dimension")
+        conductor = catalog.klein_quartic()[0].conductor
+        for g in gens:
+            if conductor % g.conductor:
+                raise InputError(
+                    f"matrix conductor {g.conductor} does not divide "
+                    f"the polynomial's conductor {conductor}"
+                )
+        gens = [GMatrix([[e.lift(conductor) for e in row] for row in g.rows]) for g in gens]
         group = generate_closure(gens)
     else:
         raise InputError("group file needs 'generators' (words) or 'matrices'")

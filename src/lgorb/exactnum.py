@@ -241,9 +241,14 @@ class CycNum:
         return CycNum(self.conductor, nums, den, _canonical=True)
 
     def inverse(self) -> "CycNum":
-        """Multiplicative inverse via the extended Euclidean algorithm
-        against Phi_n over Q[x] (with fast paths for rationals and for
-        rational multiples of basis powers)."""
+        """Multiplicative inverse by fraction-free integer elimination (with
+        fast paths for rationals and for rational multiples of basis powers).
+
+        Writing self = N/den, the coefficients x of 1/N solve M x = e_0,
+        where column j of M is N zeta^j over the power basis.  Bareiss
+        elimination of [M | e_0] keeps every entry an integer minor and ends
+        with det(M) on the diagonal and det(M) x in the last column, so the
+        inverse is den * (det(M) x) / det(M), divided exactly."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
         if self.is_rational():
@@ -254,12 +259,34 @@ class CycNum:
             k = support[0]
             scalar = Fraction(self.den, self.nums[k])
             return zeta(self.conductor, self.conductor - k) * scalar
-        mod = [Fraction(c) for c in cyclotomic_polynomial(self.conductor)]
-        a = [Fraction(v, self.den) for v in self.nums]
-        inv = _poly_invmod(a, mod)
-        return CycNum.from_coeffs(
-            self.conductor, inv + [Fraction(0)] * (_field(self.conductor).phi - len(inv))
-        )
+        field = _field(self.conductor)
+        phi, base = field.phi, field.rows[0]
+        columns = [list(self.nums)]
+        for _ in range(phi - 1):
+            prev = columns[-1]
+            top = prev[-1]
+            col = [0] + prev[:-1]
+            if top:
+                col = [c + top * b for c, b in zip(col, base)]
+            columns.append(col)
+        aug = [[col[r] for col in columns] + [int(r == 0)] for r in range(phi)]
+        prev_pivot = 1
+        for k in range(phi):
+            if not aug[k][k]:
+                swap = next(i for i in range(k + 1, phi) if aug[i][k])
+                aug[k], aug[swap] = aug[swap], aug[k]
+            pivot = aug[k][k]
+            tail = aug[k][k + 1 :]
+            for i in range(phi):
+                if i != k:
+                    row = aug[i]
+                    factor = row[k]
+                    row[k + 1 :] = [
+                        (pivot * v - factor * p) // prev_pivot
+                        for v, p in zip(row[k + 1 :], tail)
+                    ]
+            prev_pivot = pivot
+        return CycNum(self.conductor, [row[phi] * self.den for row in aug], prev_pivot)
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -371,63 +398,6 @@ class CycNum:
         return cls.from_coeffs(int(data["conductor"]), coeffs)
 
 
-def _poly_invmod(a: list[Fraction], mod: list[Fraction]) -> list[Fraction]:
-    """Inverse of a modulo `mod` in Q[x] (mod irreducible, a nonzero)."""
-
-    def deg(p):
-        for i in range(len(p) - 1, -1, -1):
-            if p[i]:
-                return i
-        return -1
-
-    def trim(p):
-        d = deg(p)
-        return p[: d + 1] if d >= 0 else []
-
-    def polysub(p, q):
-        out = [Fraction(0)] * max(len(p), len(q))
-        for i, c in enumerate(p):
-            out[i] += c
-        for i, c in enumerate(q):
-            out[i] -= c
-        return trim(out)
-
-    def polymul(p, q):
-        if not p or not q:
-            return []
-        out = [Fraction(0)] * (len(p) + len(q) - 1)
-        for i, ci in enumerate(p):
-            if ci:
-                for j, cj in enumerate(q):
-                    if cj:
-                        out[i + j] += ci * cj
-        return trim(out)
-
-    def polydivmod(p, q):
-        p = list(p)
-        dq = deg(q)
-        lead = q[dq]
-        quot = [Fraction(0)] * max(len(p) - dq, 1)
-        for i in range(len(p) - 1, dq - 1, -1):
-            if p[i]:
-                c = p[i] / lead
-                quot[i - dq] = c
-                for j in range(dq + 1):
-                    p[i - dq + j] -= c * q[j]
-        return trim(quot), trim(p)
-
-    r0, r1 = trim(mod), trim(a)
-    s0, s1 = [], [Fraction(1)]
-    while deg(r1) > 0:
-        q, r = polydivmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, polysub(s0, polymul(q, s1))
-    if not r1:
-        raise ZeroDivisionError("element not invertible modulo the cyclotomic polynomial")
-    c = r1[0]
-    return [v / c for v in s1]
-
-
 def zeta(n: int, k: int = 1) -> CycNum:
     """The root of unity zeta_n^k, canonically reduced; conductor n."""
     field = _field(n)
@@ -439,19 +409,3 @@ def zeta(n: int, k: int = 1) -> CycNum:
     for j, rj in enumerate(field.row(e - field.phi)):
         nums[j] = rj
     return CycNum(n, nums, 1)
-
-
-def cyc_add(a: CycNum, b: CycNum) -> CycNum:
-    return a + b
-
-
-def cyc_mul(a: CycNum, b: CycNum) -> CycNum:
-    return a * b
-
-
-def cyc_inverse(a: CycNum) -> CycNum:
-    return a.inverse()
-
-
-def lift_conductor(a: CycNum, m: int) -> CycNum:
-    return a.lift(m)

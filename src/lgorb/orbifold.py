@@ -6,13 +6,19 @@ the restriction of f to Fix(g) and xi_g spans the top exterior power of
 C^N/Fix(g).  A centralizing h acts on the g-th sector by
 
     h . [p] xi_g = rho(h, g) [p((h|Fix(g))^-1 t)] xi_g,
-    rho(h, g) = det(h) / det(h|Fix(g)),
+    rho(h, g) = det(h) / det(h|Fix(g)) = det(h) det(h^-1|Fix(g)),
 
 and the invariant state space decomposes over conjugacy class
 representatives g as the Z(g)-invariants of the g-th sector.  Sector
 coordinates are the deterministic reduced-row-echelon kernel basis of
 g - id, so all reports are reproducible; invariant dimensions do not
 depend on that choice.
+
+The action needs no division: h^-1 also commutes with g, so
+(h|Fix(g))^-1 = h^-1|Fix(g) is read off the group's own inverse.  The
+images of the standard monomials are built in basis order, each from the
+reduced image of a monomial one degree lower times one substituted linear
+form, so every product that gets reduced is already small.
 """
 
 from __future__ import annotations
@@ -44,7 +50,6 @@ class Sector:
 
     g: GMatrix
     fix_basis: tuple[tuple[CycNum, ...], ...]
-    complement_basis: tuple[int, ...]
     restricted: Poly
     algebra: JacobianAlgebra
     free_rows: tuple[int, ...]
@@ -56,23 +61,6 @@ class Sector:
     @property
     def dim_raw(self) -> int:
         return self.algebra.milnor
-
-
-def _complement_indices(fix_basis, n: int, conductor: int) -> tuple[int, ...]:
-    """Indices of the first standard basis vectors completing fix_basis."""
-    zero, one = CycNum.zero(conductor), CycNum.one(conductor)
-    cols = [list(col) for col in fix_basis]
-    chosen: list[int] = []
-    current_rank = len(cols)
-    for i in range(n):
-        candidate = [one if j == i else zero for j in range(n)]
-        if linalg.rank(list(zip(*(cols + [candidate])))) > current_rank:
-            cols.append(candidate)
-            chosen.append(i)
-            current_rank += 1
-        if current_rank == n:
-            break
-    return tuple(chosen)
 
 
 def build_sector(f: Poly, g: GMatrix, weights: Optional[WeightSystem] = None) -> Sector:
@@ -94,8 +82,7 @@ def _build_sector(f: Poly, g: GMatrix, weights: Optional[WeightSystem]) -> Secto
         algebra = jacobian_algebra(restricted, w)
     else:
         algebra = jacobian_algebra(restricted, None)
-    complement = _complement_indices(basis, g.n, g.conductor)
-    return Sector(g, basis, complement, restricted, algebra, free_rows)
+    return Sector(g, basis, restricted, algebra, free_rows)
 
 
 def restriction_matrix(h: GMatrix, sector: Sector) -> Matrix:
@@ -118,70 +105,73 @@ def rho(h: GMatrix, g: GMatrix) -> CycNum:
     return h.det / linalg.det(restricted)
 
 
-def _sector_rho(h: GMatrix, sector: Sector) -> CycNum:
-    if sector.fix_dim == 0:
-        return h.det
-    return h.det / linalg.det(restriction_matrix(h, sector))
-
-
 def sector_action(h: GMatrix, sector: Sector) -> Matrix:
     """Matrix of the action of a centralizing h on Jac(f^g) xi_g, over the
     standard monomial basis of the sector algebra."""
     if h * sector.g != sector.g * h:
         raise ValueError("sector_action is only defined for centralizing elements")
-    return _sector_action(h, sector)
+    return _sector_action(h, h.inverse(), sector)
 
 
-def _sector_action(h: GMatrix, sector: Sector) -> Matrix:
-    """`sector_action` for an h already known to commute with sector.g."""
+def _sector_action(h: GMatrix, hinv: GMatrix, sector: Sector) -> Matrix:
+    """`sector_action` for an h already known to commute with sector.g,
+    given its inverse hinv.
+
+    hinv commutes with g too, so it preserves Fix(g), and because the fix
+    basis has an identity block at `free_rows`, (h|Fix(g))^-1 = hinv|Fix(g)
+    is a plain row selection; rho(h, g) = det(h) det(hinv|Fix(g))."""
+    if sector.fix_dim == 0:
+        return ((h.det,),)
+    ainv = restriction_matrix(hinv, sector)
+    scale = h.det * linalg.det(ainv)
     algebra = sector.algebra
     mu = algebra.milnor
-    scale = _sector_rho(h, sector)
-    if sector.fix_dim == 0:
-        return ((scale,),)
-    a = restriction_matrix(h, sector)
-    ainv = linalg.invert(a)
-    k = sector.fix_dim
-    ainv_columns = [tuple(ainv[i][c] for i in range(k)) for c in range(k)]
-    columns = [algebra.vector(img) for img in _monomial_images(algebra, ainv_columns)]
+    zero = CycNum.zero(algebra.conductor)
+    columns = []
+    for img in _monomial_images(algebra, ainv):
+        col = [zero] * mu
+        for mon, coeff in img.terms.items():
+            col[algebra.basis_index[mon]] = coeff
+        columns.append(col)
     if scale == -CycNum.one(scale.conductor):
-        columns = [tuple(-v for v in col) for col in columns]
+        columns = [[-v for v in col] for col in columns]
     elif not scale.is_one():
-        columns = [tuple(v * scale for v in col) for col in columns]
+        columns = [[v * scale for v in col] for col in columns]
     return tuple(tuple(columns[j][i] for j in range(mu)) for i in range(mu))
 
 
-def _monomial_images(algebra: JacobianAlgebra, columns) -> list[Poly]:
-    """Substitution images of every basis monomial, sharing one power cache."""
+def _monomial_images(algebra: JacobianAlgebra, ainv: Matrix) -> list[Poly]:
+    """Reduced images of the basis monomials under t -> ainv t, in basis
+    order.
+
+    Standard monomials form an order ideal and the basis is sorted by
+    degree, so for m != 1 with first variable x_i, m / x_i is an earlier
+    basis monomial; image(m) = normal_form(image(m / x_i) * L_i), where
+    L_i = sum_c ainv[i][c] t_c, multiplies an already reduced image of one
+    degree lower by one linear form."""
     k = algebra.arity
     conductor = algebra.conductor
-    lin = []
-    for i in range(k):
-        terms = {}
-        for c in range(k):
-            coeff = columns[c][i]
-            if coeff:
-                terms[tuple(1 if j == c else 0 for j in range(k))] = coeff
-        lin.append(Poly(k, terms, conductor))
-    cache: list[dict[int, Poly]] = [
-        {0: Poly.constant(1, k, conductor)} for _ in range(k)
+    lin = [
+        Poly(
+            k,
+            {
+                tuple(1 if j == c else 0 for j in range(k)): coeff
+                for c, coeff in enumerate(ainv[i])
+                if coeff
+            },
+            conductor,
+        )
+        for i in range(k)
     ]
-
-    def power(i, e):
-        got = cache[i].get(e)
-        if got is None:
-            got = power(i, e - 1) * lin[i]
-            cache[i][e] = got
-        return got
-
-    out = []
+    images: dict = {}
     for mon in algebra.basis:
-        img = Poly.constant(1, k, conductor)
-        for i, e in enumerate(mon):
-            if e:
-                img = img * power(i, e)
-        out.append(normal_form(img, algebra.gb))
-    return out
+        i = next((j for j, e in enumerate(mon) if e), None)
+        if i is None:
+            images[mon] = Poly.constant(1, k, conductor)
+        else:
+            lower = mon[:i] + (mon[i] - 1,) + mon[i + 1 :]
+            images[mon] = normal_form(images[lower] * lin[i], algebra.gb)
+    return list(images.values())
 
 
 def invariant_subspace(actions: Sequence[Matrix]) -> tuple[int, tuple[tuple[CycNum, ...], ...]]:
@@ -348,7 +338,11 @@ def _class_report(
             for i in range(algebra.milnor)
         ]
     else:
-        actions = [_sector_action(group.elements[i], sector) for i in zgens]
+        inverse = group.inverse_index()
+        actions = [
+            _sector_action(group.elements[i], group.elements[inverse[i]], sector)
+            for i in zgens
+        ]
         per_block = [_degree_blocks(m, slices) for m in actions]
         dims = []
         basis_vectors = []

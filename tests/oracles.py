@@ -1,10 +1,13 @@
 """Independent oracles used to freeze expected values.
 
-Everything here deliberately avoids the package's Groebner/normal-form
-path: class membership is decided by dense linear algebra on graded
-slices over Fractions/CycNum, products of roots of unity are expanded by
-exponent arithmetic, and determinants are expanded by hand.  The tests
-compare the engine against these.
+The value oracles avoid the package's Groebner/normal-form path: class
+membership is decided by dense linear algebra on graded slices over
+Fractions/CycNum, products of roots of unity are expanded by exponent
+arithmetic, and determinants are expanded by hand.  The route oracles are
+the slower, more direct ways the engine used to compute a result (matrix
+products instead of tables, one elimination per right-hand side, full
+substitutions, Euclid over Fractions); the tests check the fast routes
+against them entry for entry.
 """
 
 from __future__ import annotations
@@ -13,8 +16,9 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 
 from lgorb import linalg
-from lgorb.exactnum import CycNum
-from lgorb.polyring import Poly, partial_derivative
+from lgorb.exactnum import CycNum, cyclotomic_polynomial
+from lgorb.orbifold import restriction_matrix
+from lgorb.polyring import Poly, compose_linear, partial_derivative
 
 
 def root_product_coeffs(a: dict[int, int], b: dict[int, int], n: int) -> list[int]:
@@ -221,3 +225,90 @@ def pairwise_product_table(algebra, basis) -> dict:
                 raise ValueError("product left the invariant subspace")
             products[(i, j)] = tuple(coeffs)
     return products
+
+
+def substitution_sector_action(h, sector):
+    """Action of a centralizing h on the sector by the substitution route:
+    invert A = h|Fix(g) by Gauss-Jordan, expand every basis monomial at
+    A^-1 t with compose_linear, normal-form it, and scale by det(h)/det(A)."""
+    algebra = sector.algebra
+    if sector.fix_dim == 0:
+        return ((h.det,),)
+    a = restriction_matrix(h, sector)
+    ainv = linalg.invert(a)
+    k = sector.fix_dim
+    columns = [[ainv[i][c] for i in range(k)] for c in range(k)]
+    scale = h.det / linalg.det(a)
+    one = CycNum.one(algebra.conductor)
+    images = [
+        algebra.vector(compose_linear(Poly(k, {mon: one}, algebra.conductor), columns))
+        for mon in algebra.basis
+    ]
+    mu = algebra.milnor
+    return tuple(tuple(images[j][i] * scale for j in range(mu)) for i in range(mu))
+
+
+def poly_invmod(a: list[Fraction], mod: list[Fraction]) -> list[Fraction]:
+    """Inverse of a modulo `mod` in Q[x] (mod irreducible, a nonzero)."""
+
+    def deg(p):
+        for i in range(len(p) - 1, -1, -1):
+            if p[i]:
+                return i
+        return -1
+
+    def trim(p):
+        d = deg(p)
+        return p[: d + 1] if d >= 0 else []
+
+    def polysub(p, q):
+        out = [Fraction(0)] * max(len(p), len(q))
+        for i, c in enumerate(p):
+            out[i] += c
+        for i, c in enumerate(q):
+            out[i] -= c
+        return trim(out)
+
+    def polymul(p, q):
+        if not p or not q:
+            return []
+        out = [Fraction(0)] * (len(p) + len(q) - 1)
+        for i, ci in enumerate(p):
+            if ci:
+                for j, cj in enumerate(q):
+                    if cj:
+                        out[i + j] += ci * cj
+        return trim(out)
+
+    def polydivmod(p, q):
+        p = list(p)
+        dq = deg(q)
+        lead = q[dq]
+        quot = [Fraction(0)] * max(len(p) - dq, 1)
+        for i in range(len(p) - 1, dq - 1, -1):
+            if p[i]:
+                c = p[i] / lead
+                quot[i - dq] = c
+                for j in range(dq + 1):
+                    p[i - dq + j] -= c * q[j]
+        return trim(quot), trim(p)
+
+    r0, r1 = trim(mod), trim(a)
+    s0, s1 = [], [Fraction(1)]
+    while deg(r1) > 0:
+        q, r = polydivmod(r0, r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, polysub(s0, polymul(q, s1))
+    if not r1:
+        raise ZeroDivisionError("element not invertible modulo the cyclotomic polynomial")
+    c = r1[0]
+    return [v / c for v in s1]
+
+
+def euclid_inverse(a: CycNum) -> CycNum:
+    """Inverse of a nonzero field element by the extended Euclidean algorithm
+    against the cyclotomic polynomial over Fractions (the route to
+    CycNum.inverse that divides at every step)."""
+    mod = [Fraction(c) for c in cyclotomic_polynomial(a.conductor)]
+    inv = poly_invmod([Fraction(v, a.den) for v in a.nums], mod)
+    return CycNum.from_coeffs(a.conductor, inv + [Fraction(0)] * (len(a.nums) - len(inv)))

@@ -4,17 +4,8 @@ from fractions import Fraction
 import pytest
 
 from lgorb.errors import ConductorMismatchError
-from lgorb.exactnum import (
-    CycNum,
-    cyc_add,
-    cyc_inverse,
-    cyc_mul,
-    cyclotomic_polynomial,
-    euler_phi,
-    lift_conductor,
-    zeta,
-)
-from oracles import reduce_prime_conductor, root_product_coeffs
+from lgorb.exactnum import CycNum, cyclotomic_polynomial, euler_phi, zeta
+from oracles import euclid_inverse, reduce_prime_conductor, root_product_coeffs
 
 
 def sqrt_minus_seven(conductor=7):
@@ -35,7 +26,7 @@ def test_zeta_identity_cases():
 
 
 def test_mul_inverse_pair():
-    assert cyc_mul(zeta(7), zeta(7, 6)) == 1
+    assert zeta(7) * zeta(7, 6) == 1
 
 
 def test_sqrt_minus_seven_squares_to_minus_seven():
@@ -52,28 +43,28 @@ def test_sqrt_minus_seven_squares_to_minus_seven():
 
 def test_additive_identity_and_negation():
     a = 3 + 2 * zeta(7, 5)
-    assert cyc_add(a, CycNum.zero(7)) == a
+    assert a + CycNum.zero(7) == a
     assert a + (-a) == 0
 
 
 def test_inverse_examples():
     for k in range(1, 7):
-        assert cyc_inverse(zeta(7, k)) == zeta(7, 7 - k)
-    assert cyc_inverse(CycNum.from_rational(7, 28)) == Fraction(1, 7)
+        assert zeta(7, k).inverse() == zeta(7, 7 - k)
+    assert CycNum.from_rational(7, 28).inverse() == Fraction(1, 7)
     s = sqrt_minus_seven()
-    assert cyc_inverse(s) == -s * Fraction(1, 7)
-    assert s * cyc_inverse(s) == 1
+    assert s.inverse() == -s * Fraction(1, 7)
+    assert s * s.inverse() == 1
     with pytest.raises(ZeroDivisionError):
-        cyc_inverse(CycNum.zero(7))
+        CycNum.zero(7).inverse()
 
 
 def test_lift_conductor_examples():
     a = 2 - zeta(7, 3)
-    assert lift_conductor(a, 7) == a
-    assert lift_conductor(zeta(7), 28) == zeta(28, 4)
-    assert lift_conductor(CycNum.one(1), 28) == CycNum.one(28)
+    assert a.lift(7) == a
+    assert zeta(7).lift(28) == zeta(28, 4)
+    assert CycNum.one(1).lift(28) == CycNum.one(28)
     with pytest.raises(ConductorMismatchError):
-        lift_conductor(zeta(7), 12)
+        zeta(7).lift(12)
 
 
 def test_conductor_mismatch_raises():
@@ -99,6 +90,39 @@ def test_field_axioms_randomized(conductor):
         assert a * (b + c) == a * b + a * c
         if a:
             assert a * a.inverse() == 1
+
+
+def _inverse_cases(rng, conductor):
+    """Dense, two-term and large-coefficient elements, with and without a
+    common denominator, plus two-term elements with huge negative entries."""
+    phi = euler_phi(conductor)
+    cases = []
+    for _ in range(8):
+        dense = [rng.randint(-9, 9) for _ in range(phi)]
+        two = [0] * phi
+        for k in rng.sample(range(phi), 2):
+            two[k] = rng.choice([-1, 1]) * rng.randint(1, 12)
+        large = [rng.randint(-(10**15), 10**15) for _ in range(phi)]
+        negative = [0] * phi
+        for k in rng.sample(range(phi), 2):
+            negative[k] = -rng.randint(10**9, 10**12)
+        for nums in (dense, two, large, negative):
+            if any(nums[1:]):
+                cases.append(CycNum(conductor, nums, rng.choice([1, 3, 28, 10**6 + 3])))
+    return cases
+
+
+@pytest.mark.parametrize("conductor", [7, 12, 28])
+def test_inverse_matches_euclid_oracle(conductor):
+    rng = random.Random(4200 + conductor)
+    cases = _inverse_cases(rng, conductor)
+    assert len(cases) >= 24
+    for a in cases:
+        inv = a.inverse()
+        assert inv == euclid_inverse(a)
+        assert a * inv == 1
+    with pytest.raises(ZeroDivisionError):
+        CycNum.zero(conductor).inverse()
 
 
 def test_reduction_idempotence():

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from lgorb import linalg
@@ -9,17 +11,19 @@ from lgorb.matgroup import GMatrix, generate_closure, from_elements
 from lgorb.orbifold import (
     HHReport,
     _degree_blocks,
+    _sector_action,
     build_sector,
     compute_hh,
     identity_sector_products,
     invariant_subspace,
+    restriction_matrix,
     reynolds_image,
     rho,
     sector_action,
     surface_cohomology_dim,
 )
 from lgorb.polyring import Poly
-from oracles import pairwise_product_table
+from oracles import pairwise_product_table, substitution_sector_action
 
 
 def test_surface_cohomology_dim():
@@ -34,12 +38,10 @@ def test_build_sector_examples(klein):
     f, w = klein
     s_sector = build_sector(f, generator_matrix("S"), w)
     assert s_sector.fix_dim == 0 and s_sector.dim_raw == 1
-    assert s_sector.complement_basis == (0, 1, 2)
 
     t_sector = build_sector(f, generator_matrix("T"), w)
     assert t_sector.fix_dim == 1 and t_sector.dim_raw == 3
     assert t_sector.restricted == Poly(1, {(4,): 3}, f.conductor)
-    assert t_sector.complement_basis == (0, 1)
 
     g = -word_matrix("RS^2RS")
     wide = build_sector(f, g, w)
@@ -133,6 +135,45 @@ def test_sector_action_is_a_representation(klein, rng):
                 for i in range(len(m1))
             ]
             assert [list(row) for row in m12] == product
+
+
+def _dense_conjugate(key, seed):
+    """The catalog group `key` conjugated by a seeded random word over R, S
+    and T, so that its matrices and fixed spaces are dense."""
+    rng = random.Random(seed)
+    word = "".join(
+        f"{name}^{rng.randint(1, top)}" for name, top in (("R", 1), ("S", 6), ("T", 2)) * 2
+    )
+    h = word_matrix(word)
+    hinv = h.inverse()
+    return from_elements([h * m * hinv for m in catalog_group(key).elements])
+
+
+@pytest.mark.parametrize(
+    "key, hat, seed",
+    [("g", False, None), ("j", False, None), ("e", True, None), ("i", False, 909)],
+    ids=["g", "j", "e^", "i-conjugate"],
+)
+def test_sector_action_matches_substitution_oracle(klein, key, hat, seed):
+    f, w = klein
+    group = catalog_group(key, hat=hat) if seed is None else _dense_conjugate(key, seed)
+    data = group.conjugacy()
+    inverse = group.inverse_index()
+    pairs = 0
+    for rep, _ in data.classes:
+        g = group.elements[rep]
+        sector = build_sector(f, g, w)
+        for i in group.subgroup_generator_indices(data.centralizers[rep]):
+            if i == 0:
+                continue
+            h, hinv = group.elements[i], group.elements[inverse[i]]
+            expected = substitution_sector_action(h, sector)
+            assert _sector_action(h, hinv, sector) == expected
+            assert sector_action(h, sector) == expected
+            det_hinv = linalg.det(restriction_matrix(hinv, sector)) if sector.fix_dim else 1
+            assert rho(h, g) == h.det * det_hinv
+            pairs += 1
+    assert pairs > 0
 
 
 def test_invariant_subspace_trivial_and_reynolds_agreement(klein, rng):

@@ -5,6 +5,7 @@ import pytest
 
 from lgorb import cli
 from lgorb.catalog import generator_matrix, word_matrix
+from lgorb.exactnum import CycNum, zeta
 from lgorb.errors import GradingError, WordParseError
 from lgorb.orbifold import HHReport
 from lgorb.words import GeneratorWord, parse_word
@@ -109,6 +110,40 @@ def test_cli_compute_matrix_file_group(tmp_path, capsys):
     path.write_text(json.dumps(group_data))
     assert cli.main(["compute", "--group", f"file:{path}"]) == cli.EXIT_OK
     assert "total dimension: 18" in capsys.readouterr().out
+
+
+def _matrix_data(rows):
+    return [[e.to_dict() for e in row] for row in rows]
+
+
+def test_cli_matrix_file_lifts_dividing_conductors(tmp_path, capsys):
+    zero, one = CycNum.zero(1), CycNum.one(1)
+    cycle = _matrix_data([[zero, one, zero], [zero, zero, one], [one, zero, zero]])
+    path = tmp_path / "cycle.json"
+    path.write_text(json.dumps({"matrices": [cycle]}))
+    assert cli.main(["compute", "--group", f"file:{path}", "--format", "json"]) == cli.EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    assert report["group"]["order"] == 3 and report["group"]["conductor"] == 28
+    # a conductor-7 diagonal symmetry next to the conductor-1 cycle: order 21
+    z7 = [zeta(7, k) for k in (1, 4, 2)]
+    zero7 = CycNum.zero(7)
+    diagonal = _matrix_data([[z7[i] if i == j else zero7 for j in range(3)] for i in range(3)])
+    path.write_text(json.dumps({"matrices": [cycle, diagonal]}))
+    assert cli.main(["compute", "--group", f"file:{path}"]) == cli.EXIT_OK
+    assert "order 21, conductor 28" in capsys.readouterr().out
+
+
+def test_cli_matrix_file_rejects_foreign_conductor(tmp_path, capsys):
+    zero, one = CycNum.zero(5), CycNum.one(5)
+    z5 = [[zeta(5), zero, zero], [zero, zeta(5, 4), zero], [zero, zero, one]]
+    path = tmp_path / "five.json"
+    path.write_text(json.dumps({"matrices": [_matrix_data(z5)]}))
+    assert cli.main(["compute", "--group", f"file:{path}"]) == cli.EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "error: matrix conductor 5 does not divide the polynomial's conductor 28\n"
+    )
+    assert captured.out == ""
 
 
 def test_cli_inadmissible_group_exit_3(tmp_path, capsys):
