@@ -50,6 +50,10 @@ def _load_group_file(path: str) -> tuple[FiniteMatrixGroup, bool]:
     hat = data.get("hat", False)
     if not isinstance(hat, bool):
         raise InputError("'hat' must be true or false")
+    conductor = catalog.klein_quartic()[0].conductor
+    stated = data.get("conductor", conductor)
+    if type(stated) is not int or stated != conductor:
+        raise InputError(f"'conductor' must be {conductor}, the polynomial's conductor")
     words = data.get("generators")
     matrices = data.get("matrices")
     if words is not None and not (
@@ -71,7 +75,6 @@ def _load_group_file(path: str) -> tuple[FiniteMatrixGroup, bool]:
             raise InputError(f"bad matrix data: {exc}") from exc
         if any(g.n != gens[0].n for g in gens):
             raise InputError("matrices must share one dimension")
-        conductor = catalog.klein_quartic()[0].conductor
         for g in gens:
             if conductor % g.conductor:
                 raise InputError(

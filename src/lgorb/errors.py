@@ -38,7 +38,7 @@ class NotASymmetryError(LgorbError, ValueError):
 
 
 class GradingError(LgorbError, ValueError):
-    """Raised when a sector action mixes the degrees of a graded sector algebra."""
+    """Raised when a fixed locus or a sector action does not respect the weight grading."""
 
 
 class WordParseError(LgorbError, ValueError):

@@ -171,8 +171,9 @@ class GMatrix:
         return cls([[CycNum.from_dict(e) for e in row] for row in data])
 
 
-def fixed_space_with_free(g: GMatrix) -> tuple[tuple[tuple[CycNum, ...], ...], tuple[int, ...]]:
-    """Columns spanning ker(g - id) plus their free row indices.
+def fixed_space(g: GMatrix) -> tuple[tuple[tuple[CycNum, ...], ...], tuple[int, ...]]:
+    """Columns spanning ker(g - id), in the deterministic reduced-row-echelon
+    kernel convention (possibly none), plus their free row indices.
 
     The rows of the column matrix at the free indices form an identity
     block, which makes restricting a commuting matrix to the fixed space a
@@ -185,20 +186,6 @@ def fixed_space_with_free(g: GMatrix) -> tuple[tuple[tuple[CycNum, ...], ...], t
     ]
     basis, free = linalg.kernel_basis_with_free(rows, g.conductor)
     return tuple(basis), tuple(free)
-
-
-def fixed_space(g: GMatrix) -> tuple[tuple[CycNum, ...], ...]:
-    """Columns spanning ker(g - id), in the deterministic reduced-row-echelon
-    kernel convention; may be empty."""
-    return fixed_space_with_free(g)[0]
-
-
-def element_order(g: GMatrix, cap: int = DEFAULT_ORDER_CAP) -> int:
-    return g.order(cap)
-
-
-def det(g: GMatrix) -> CycNum:
-    return g.det
 
 
 class ConjugacyData:
@@ -499,14 +486,6 @@ def from_elements(
     else:
         gens, tables = _greedy_generators(range(len(elems)), right_table)
     return FiniteMatrixGroup(elems, gens, tables)
-
-
-def conjugacy_classes(group: FiniteMatrixGroup) -> ConjugacyData:
-    return group.conjugacy()
-
-
-def centralizer(group: FiniteMatrixGroup, i: int) -> tuple[int, ...]:
-    return group.centralizer(i)
 
 
 def hat_extend(group: FiniteMatrixGroup) -> FiniteMatrixGroup:

@@ -28,10 +28,10 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from lgorb import linalg
-from lgorb.errors import GradingError, InadmissibleGroupError, NotASymmetryError
+from lgorb.errors import GradingError, InadmissibleGroupError, NotASymmetryError, ShapeError
 from lgorb.exactnum import CycNum
 from lgorb.jacobian import JacobianAlgebra, jacobian_algebra, normal_form
-from lgorb.matgroup import FiniteMatrixGroup, GMatrix, fixed_space_with_free
+from lgorb.matgroup import FiniteMatrixGroup, GMatrix, fixed_space
 from lgorb.polyring import Poly, WeightSystem, restrict_to_subspace, substitute_linear
 
 Matrix = tuple[tuple[CycNum, ...], ...]
@@ -72,14 +72,24 @@ def build_sector(f: Poly, g: GMatrix, weights: Optional[WeightSystem] = None) ->
 
 
 def _build_sector(f: Poly, g: GMatrix, weights: Optional[WeightSystem]) -> Sector:
-    """`build_sector` for a g already known to preserve f."""
-    basis, free_rows = fixed_space_with_free(g)
+    """`build_sector` for a g already known to preserve f.
+
+    Sector coordinate c is the fix-basis column with its identity entry at
+    row free_rows[c], so it carries that row's weight; a column mixing rows
+    of different weights admits no such grading (GradingError)."""
+    basis, free_rows = fixed_space(g)
     restricted = restrict_to_subspace(f, basis)
     if basis:
-        w = weights
-        if w is None or len(w.weights) != len(basis):
-            w = WeightSystem([1] * len(basis), f.total_degree())
-        algebra = jacobian_algebra(restricted, w)
+        if weights is None:
+            weights = WeightSystem([1] * f.arity, f.total_degree())
+        ws = weights.weights
+        if len(ws) != f.arity:
+            raise ShapeError(f"need {f.arity} weights, got {len(ws)}")
+        for col, r in zip(basis, free_rows):
+            if any(v and ws[i] != ws[r] for i, v in enumerate(col)):
+                raise GradingError("the fixed locus is not spanned by weight-homogeneous vectors")
+        restricted_weights = WeightSystem([ws[r] for r in free_rows], weights.total)
+        algebra = jacobian_algebra(restricted, restricted_weights)
     else:
         algebra = jacobian_algebra(restricted, None)
     return Sector(g, basis, restricted, algebra, free_rows)
@@ -97,7 +107,7 @@ def rho(h: GMatrix, g: GMatrix) -> CycNum:
     """The scalar det(h)/det(h|Fix(g)) by which a centralizing h scales xi_g."""
     if h * g != g * h:
         raise ValueError("rho is only defined for centralizing pairs")
-    basis, free_rows = fixed_space_with_free(g)
+    basis, free_rows = fixed_space(g)
     if not basis:
         return h.det
     columns = [h.apply(col) for col in basis]
@@ -489,8 +499,9 @@ def identity_sector_products(
 
 def _is_invariant_vector(vec, group: FiniteMatrixGroup, algebra: JacobianAlgebra) -> bool:
     poly = algebra.poly_from_vector(vec)
-    for g in group.generators:
-        moved = substitute_linear(poly, linalg.invert(g.rows))
+    inverse = group.inverse_index()
+    for i in group.generator_indices:
+        moved = substitute_linear(poly, group.elements[inverse[i]].rows)
         if algebra.vector(moved) != tuple(vec):
             return False
     return True

@@ -18,7 +18,7 @@ from lgorb import linalg
 from lgorb.catalog import CATALOG_KEYS, catalog_group, expected
 from lgorb.exactnum import CycNum
 from lgorb.jacobian import normal_form, quotient_basis, residue_pairing
-from lgorb.matgroup import conjugacy_classes, from_elements, generate_closure
+from lgorb.matgroup import from_elements, generate_closure
 from lgorb.orbifold import build_sector, identity_sector_products, rho, sector_action
 from lgorb.polyring import Poly, hessian, substitute_linear
 
@@ -56,7 +56,7 @@ def test_criterion_1_klein_jacobian_algebra(klein, klein_algebra):
 
 
 def test_criterion_2_group_order_and_classes(slf):
-    data = conjugacy_classes(slf)
+    data = slf.conjugacy()
     sizes = sorted(len(members) for _, members in data.classes)
     record(
         "criterion 2 (order 168, class sizes)",

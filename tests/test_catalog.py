@@ -40,8 +40,8 @@ def test_group_e_is_the_listed_klein_four_group():
         assert word_matrix(word) in group
     # nontrivial elements have eigenvalues (1, -1, -1): fix dims 1 and 2 for +/-
     for m in group.elements[1:]:
-        assert len(fixed_space(m)) == 1
-        assert len(fixed_space(-m)) == 2
+        assert len(fixed_space(m)[0]) == 1
+        assert len(fixed_space(-m)[0]) == 2
         assert m.order() == 2
 
 

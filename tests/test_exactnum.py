@@ -166,3 +166,30 @@ def test_str_and_complex_approx_smoke():
     approx = s.complex_approx()
     assert abs(approx.real) < 1e-9 and abs(approx.imag - 7**0.5) < 1e-9
     assert "z7" in str(s)
+
+
+def test_arithmetic_calls_through_the_kernel_module(monkeypatch):
+    """CycNum reaches the field kernels through the module attributes of
+    `lgorb._kernels`, so wrapping them (as the benchmark's counting pass
+    does) sees every +, * and addmul."""
+    import lgorb
+    from lgorb import _kernels
+
+    calls = {"add": 0, "mul": 0, "addmul": 0}
+    for name in calls:
+        real = getattr(_kernels, name)
+
+        def counted(*args, _name=name, _real=real):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(_kernels, name, counted)
+    a, b, c = zeta(28, 3) + Fraction(1, 2), zeta(28, 5) * 3, zeta(28, 11)
+    assert calls == {"add": 1, "mul": 1, "addmul": 0}
+    assert a + b == b + a
+    assert calls["add"] == 3
+    assert a * b == b * a
+    assert calls["mul"] == 3
+    assert a.addmul(b, c) == a + b * c
+    assert calls == {"add": 4, "mul": 4, "addmul": 1}
+    assert lgorb.kernel_backend == "pure"

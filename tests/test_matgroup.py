@@ -10,8 +10,6 @@ from lgorb.errors import ClosureCapExceededError, SingularMatrixError
 from lgorb.exactnum import CycNum, zeta
 from lgorb.matgroup import (
     GMatrix,
-    conjugacy_classes,
-    element_order,
     fixed_space,
     from_elements,
     generate_closure,
@@ -32,8 +30,8 @@ def test_generator_matrices(klein):
     assert (R * R).is_identity()
     assert R.det == 1 and T.det == 1 and S.det == 1
     assert S == GMatrix.diagonal([zeta(28, 16), zeta(28, 8), zeta(28, 4)])
-    assert element_order(S) == 7
-    assert element_order(word_matrix("TRS^2RS^3")) == 4
+    assert S.order() == 7
+    assert word_matrix("TRS^2RS^3").order() == 4
     minus_id = generator_matrix("-I")
     assert minus_id.det == -1
     jf = generator_matrix("j_f")
@@ -51,7 +49,7 @@ def test_closure_orders():
 
 def test_slf_closure_and_classes(slf):
     assert slf.order == 168
-    data = conjugacy_classes(slf)
+    data = slf.conjugacy()
     sizes = sorted(len(members) for _, members in data.classes)
     assert sizes == [1, 21, 24, 24, 42, 56]
     for rep, members in data.classes:
@@ -104,14 +102,14 @@ def test_centralizer_of_v4_in_s4():
 def test_abelian_groups_have_singleton_classes():
     for key in ("a", "b", "c", "d", "e"):
         group = catalog_group(key)
-        data = conjugacy_classes(group)
+        data = group.conjugacy()
         assert all(len(members) == 1 for _, members in data.classes)
         assert group.is_abelian()
 
 
 def test_s4_has_five_classes():
     s4 = catalog_group("i")
-    assert len(conjugacy_classes(s4).classes) == 5
+    assert len(s4.conjugacy().classes) == 5
     assert not s4.is_abelian()
 
 
@@ -119,7 +117,7 @@ def test_class_size_times_centralizer_for_all_catalog_groups():
     for key, order in CATALOG_ORDERS.items():
         group = catalog_group(key)
         assert group.order == order
-        data = conjugacy_classes(group)
+        data = group.conjugacy()
         for rep, members in data.classes:
             assert len(members) * len(data.centralizers[rep]) == order
 
@@ -133,21 +131,25 @@ def test_every_catalog_element_preserves_f(klein):
 
 def test_fixed_spaces(klein):
     T = generator_matrix("T")
-    ft = fixed_space(T)
+    ft, free = fixed_space(T)
     one = CycNum.one(28)
     assert ft == ((one, one, one),)
-    assert fixed_space(generator_matrix("S")) == ()
+    assert free == (2,)
+    assert fixed_space(generator_matrix("S")) == ((), ())
     g = word_matrix("RS^2RS")
-    assert len(fixed_space(g)) == 1
-    assert len(fixed_space(-g)) == 2
+    assert len(fixed_space(g)[0]) == 1
+    basis, free = fixed_space(-g)
+    assert len(basis) == 2
+    # the free rows of the basis form an identity block
+    assert [[col[r] for col in basis] for r in free] == [[one, 0], [0, one]]
 
 
 def test_fixed_space_conjugation_equivariance(slf, rng):
     for _ in range(6):
         g = slf.elements[rng.randrange(slf.order)]
         h = slf.elements[rng.randrange(slf.order)]
-        left = fixed_space(h * g * h.inverse())
-        right = tuple(h.apply(col) for col in fixed_space(g))
+        left, _ = fixed_space(h * g * h.inverse())
+        right = tuple(h.apply(col) for col in fixed_space(g)[0])
         assert len(left) == len(right)
         if left:
             stacked = [list(col) for col in left + right]
@@ -164,7 +166,7 @@ def test_det_is_multiplicative(slf, rng):
 def test_element_orders_and_dets(slf):
     minus_id = generator_matrix("-I")
     assert minus_id.det == -1
-    assert element_order(word_matrix("RSRS^5")) == 4
+    assert word_matrix("RSRS^5").order() == 4
     one = CycNum.one(28)
     assert all(d == one for d in slf.determinants())
     assert slf.is_admissible()
@@ -174,7 +176,7 @@ def test_element_order_cap():
     from lgorb.errors import OrderCapExceededError
 
     with pytest.raises(OrderCapExceededError):
-        element_order(generator_matrix("S"), cap=3)
+        generator_matrix("S").order(cap=3)
 
 
 def test_hat_extend():
@@ -194,10 +196,10 @@ def test_hat_extend():
 def test_hat_slf_has_12_classes(slf):
     hat = catalog_group("slf", hat=True)
     assert hat.order == 336
-    data = conjugacy_classes(hat)
+    data = hat.conjugacy()
     assert len(data.classes) == 12
     # classes come in +/- pairs of the base classes
-    base = conjugacy_classes(slf)
+    base = slf.conjugacy()
     minus = hat.index[-GMatrix.identity(3, 28)]
     base_class_sets = {
         frozenset(hat.index[slf.elements[i]] for i in members)
@@ -261,7 +263,7 @@ def _assert_structure_matches_oracle(group, pairs=None):
     """Table-derived structure against the matrix-product oracles; mul_index
     on every pair, or on the given sample of pairs."""
     assert group.inverse_index() == oracles.matrix_inverse_index(group)
-    data = conjugacy_classes(group)
+    data = group.conjugacy()
     classes = oracles.matrix_conjugacy_classes(group)
     assert data.classes == tuple(classes)
     assert data.centralizers == {

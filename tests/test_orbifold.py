@@ -4,12 +4,13 @@ import pytest
 
 from lgorb import linalg
 from lgorb.catalog import catalog_group, generator_matrix, word_matrix
-from lgorb.errors import GradingError, InadmissibleGroupError, NotASymmetryError
+from lgorb.errors import GradingError, InadmissibleGroupError, NotASymmetryError, ShapeError
 from lgorb.exactnum import CycNum
 from lgorb.jacobian import jacobian_algebra
 from lgorb.matgroup import GMatrix, generate_closure, from_elements
 from lgorb.orbifold import (
     HHReport,
+    _build_sector,
     _degree_blocks,
     _sector_action,
     build_sector,
@@ -22,7 +23,7 @@ from lgorb.orbifold import (
     sector_action,
     surface_cohomology_dim,
 )
-from lgorb.polyring import Poly
+from lgorb.polyring import Poly, WeightSystem
 from oracles import pairwise_product_table, substitution_sector_action
 
 
@@ -77,7 +78,7 @@ def test_rho_values(klein):
     c4 = word_matrix("TRS^2RS^3")
     from lgorb.matgroup import fixed_space
 
-    assert fixed_space(c4 ** 3) == fixed_space(c4)
+    assert fixed_space(c4 ** 3)[0] == fixed_space(c4)[0]
     assert rho(c4, c4 ** 3) == c4.det == 1
     with pytest.raises(ValueError):
         rho(generator_matrix("T"), S)
@@ -376,3 +377,49 @@ def test_repeated_computation_is_deterministic(klein):
     first, second = (compute_hh(f, generate_closure(gens, words=words), w) for _ in range(2))
     assert first == second
     assert json.dumps(first.to_dict()) == json.dumps(second.to_dict())
+
+
+def test_identity_sector_products_supplied_basis(klein, monkeypatch):
+    """The supplied-basis path takes generator inverses from the group
+    table, and rejects a non-invariant class and a short list."""
+    f, w = klein
+    group = catalog_group("d")
+    computed = identity_sector_products(f, group, w)
+    assert len(computed.basis) == 15
+
+    def no_invert(*_args):
+        raise AssertionError("linalg.invert called")
+
+    monkeypatch.setattr(linalg, "invert", no_invert)
+    assert identity_sector_products(f, group, w, basis=computed.basis) == computed
+    # the only degree-1 invariant replaced by a monomial it does not fix
+    assert computed.basis[1].total_degree() == 1
+    moved = list(computed.basis)
+    moved[1] = Poly(3, {(1, 0, 0): 1}, f.conductor)
+    with pytest.raises(ValueError, match="^a supplied class is not invariant$"):
+        identity_sector_products(f, group, w, basis=moved)
+    with pytest.raises(ValueError, match="^supplied classes are not a basis of the invariants$"):
+        identity_sector_products(f, group, w, basis=computed.basis[:-1])
+
+
+def test_weights_are_restricted_to_the_fixed_locus():
+    """x1^2 + x2^4 + x3^4 with weights (2, 1, 1; 4) under g = diag(1, -1, -1):
+    the identity sector keeps x2^a x3^b (a, b <= 2) with a + b even, and the
+    g sector is Jac(x1^2) = C, fixed because det g / det(g|Fix g) = 1."""
+    one = CycNum.one(28)
+    f = Poly(3, {(2, 0, 0): one, (0, 4, 0): one, (0, 0, 4): one}, 28)
+    w = WeightSystem((2, 1, 1), 4)
+    report = compute_hh(f, generate_closure([GMatrix.diagonal([one, -one, -one])]), w)
+    assert report.total_dim == 6
+    assert report.identity_dimension_vector == (1, 0, 3, 0, 1)
+    assert [(s.fix_dim, s.invariant_dim) for s in report.sectors] == [(3, 5), (1, 1)]
+    with pytest.raises(ShapeError, match="^need 3 weights, got 2$"):
+        compute_hh(f, generate_closure([GMatrix.diagonal([one, -one, -one])]), WeightSystem((2, 1), 4))
+
+
+def test_fixed_locus_mixing_weights_is_a_grading_error():
+    one, zero = CycNum.one(28), CycNum.zero(28)
+    f = Poly(3, {(2, 0, 0): one, (0, 4, 0): one, (0, 0, 4): one}, 28)
+    swap = GMatrix([[zero, one, zero], [one, zero, zero], [zero, zero, one]])
+    with pytest.raises(GradingError, match="^the fixed locus is not spanned by weight-homogeneous vectors$"):
+        _build_sector(f, swap, WeightSystem((2, 1, 1), 4))

@@ -187,6 +187,18 @@ def test_cli_input_errors_exit_2(tmp_path, capsys):
         ),
         ('{"matrices": "abc"}', "error: 'matrices' must be a list of matrices\n"),
         ('{"generators": ["RS^3"], "hat": "false"}', "error: 'hat' must be true or false\n"),
+        (
+            '{"conductor": 5, "generators": ["RS^2RS"]}',
+            "error: 'conductor' must be 28, the polynomial's conductor\n",
+        ),
+        (
+            '{"conductor": "28", "generators": ["RS^2RS"]}',
+            "error: 'conductor' must be 28, the polynomial's conductor\n",
+        ),
+        (
+            '{"conductor": true, "generators": ["RS^2RS"]}',
+            "error: 'conductor' must be 28, the polynomial's conductor\n",
+        ),
     ],
     ids=[
         "top-level-list",
@@ -194,6 +206,9 @@ def test_cli_input_errors_exit_2(tmp_path, capsys):
         "zero-denominator",
         "matrices-string",
         "hat-string",
+        "conductor-5",
+        "conductor-string",
+        "conductor-true",
     ],
 )
 def test_cli_malformed_group_file_exit_2(tmp_path, capsys, content, message):
