@@ -42,7 +42,6 @@ from lgorb.orbifold import (
     compute_hh,
     identity_sector_products,
     invariant_subspace,
-    reynolds_image,
     rho,
     sector_action,
     surface_cohomology_dim,
@@ -105,7 +104,6 @@ __all__ = [
     "quotient_basis",
     "residue_pairing",
     "restrict_to_subspace",
-    "reynolds_image",
     "rho",
     "sector_action",
     "substitute_linear",

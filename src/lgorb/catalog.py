@@ -120,6 +120,9 @@ _CATALOG: dict[str, CatalogEntry] = {
                 11,
                 2,
                 (1, 0, 0, 0, 0, 0, 1),
+                # Keyed by classes of the recorded presentation (S^3 and
+                # RS^3 among them), not by the engine's representatives
+                # id, R, T, S, RTS, RST; only the values are comparable.
                 {"S": 1, "S^3": 1, "R": 1, "RS^3": 3, "T": 3},
                 hat=ExpectedResult(10, 2, (1, 0, 0, 0, 0, 0, 1)),
             ),

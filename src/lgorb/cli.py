@@ -37,6 +37,9 @@ class InputError(Exception):
     """CLI-level input problem (bad key, bad file, bad words)."""
 
 
+_GROUP_FILE_KEYS = frozenset({"generators", "matrices", "hat", "conductor"})
+
+
 def _load_group_file(path: str) -> tuple[FiniteMatrixGroup, bool]:
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -47,6 +50,12 @@ def _load_group_file(path: str) -> tuple[FiniteMatrixGroup, bool]:
         raise InputError(f"group file is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise InputError("group file must hold a JSON object")
+    unknown = sorted(set(data) - _GROUP_FILE_KEYS)
+    if unknown:
+        known = ", ".join(sorted(_GROUP_FILE_KEYS))
+        raise InputError(f"unknown group-file key {unknown[0]!r}; known keys: {known}")
+    if "generators" in data and "matrices" in data:
+        raise InputError("give 'generators' or 'matrices', not both")
     hat = data.get("hat", False)
     if not isinstance(hat, bool):
         raise InputError("'hat' must be true or false")

@@ -43,3 +43,8 @@ class GradingError(LgorbError, ValueError):
 
 class WordParseError(LgorbError, ValueError):
     """Raised on malformed generator words."""
+
+
+class CharacterError(LgorbError, ValueError):
+    """Raised when a character average is not a non-negative integer, or
+    disagrees with the dimension of a computed invariant subspace."""

@@ -7,7 +7,7 @@ exact arithmetic), so every result is deterministic.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from lgorb.errors import ShapeError, SingularMatrixError
 from lgorb.exactnum import CycNum
@@ -84,6 +84,35 @@ def kernel_basis_with_free(matrix, conductor: int | None = None) -> tuple[list[V
 def kernel_basis(matrix, conductor: int | None = None) -> list[Vector]:
     """Basis of the right kernel, as column vectors (RREF convention)."""
     return kernel_basis_with_free(matrix, conductor)[0]
+
+
+def kernel_form_basis(vectors: Iterable[Vector], stop: int | None = None) -> list[Vector]:
+    """The basis `kernel_basis` returns for any matrix whose kernel is the
+    span of the vectors: one vector per free column j, ascending, with 1 at
+    j, 0 at the other free columns and nothing after j.  That is the
+    reduced row echelon form of the span with the column order reversed,
+    so it depends on the span alone.  The vectors are read lazily, and
+    reading stops once `stop` independent ones have been seen."""
+    rows: dict[int, list[CycNum]] = {}  # reversed pivot -> reversed, reduced row
+    for vec in vectors:
+        v = list(reversed(vec))
+        for p, row in rows.items():
+            if v[p]:
+                factor = -v[p]
+                v = [a.addmul(factor, b) for a, b in zip(v, row)]
+        p = next((i for i, x in enumerate(v) if x), None)
+        if p is None:
+            continue
+        inv = v[p].inverse()
+        v = [x * inv for x in v]
+        for q, row in rows.items():
+            if row[p]:
+                factor = -row[p]
+                rows[q] = [a.addmul(factor, b) for a, b in zip(row, v)]
+        rows[p] = v
+        if len(rows) == stop:
+            break
+    return [tuple(reversed(rows[p])) for p in sorted(rows, reverse=True)]
 
 
 def det(matrix) -> CycNum:

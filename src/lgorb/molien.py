@@ -1,0 +1,156 @@
+"""Invariant dimensions of an orbifold sector, degree by degree, from
+characters.
+
+The Jacobian ideal of an isolated quasihomogeneous f^g is a complete
+intersection, so its Koszul resolution gives the graded trace of a
+centralizing h on the sector Jac(f^g) xi_g in closed form (Vafa, Mod.
+Phys. Lett. A4 (1989); Intriligator-Vafa, Nucl. Phys. B339 (1990)):
+
+    rho(h, g) prod_w det(1 - s^(d-w) A_w) / det(1 - s^w A_w^-1),
+
+where A = h|Fix(g), A_w is its block on the sector coordinates of weight
+w and d is the total weight.  Averaging the trace over Z(g) (Molien) gives
+the invariant dimension in each weighted degree.  The trace is a class
+function of Z(g), so one representative per class suffices; the classes
+come from the group's index tables.
+
+No field inverse is needed.  With B = h^-1|Fix(g) = A^-1 and
+chi_B(t) = det(t - B), det(1 - t B) is chi_B with its coefficients
+reversed, and rho det(1 - t A) = det(h) (-1)^k chi_B(t) for k = dim Fix(g),
+because rho = det(h) det(B); the same holds block by block.  The
+denominator has constant term 1, so the series division is exact.
+"""
+
+from __future__ import annotations
+
+from itertools import combinations
+from typing import Sequence
+
+from lgorb import linalg
+from lgorb.errors import CharacterError, GradingError
+from lgorb.exactnum import CycNum
+
+
+def restriction_matrix(h, sector) -> tuple[tuple[CycNum, ...], ...]:
+    """h restricted to Fix(g), written in the sector coordinates.  The fix
+    basis has an identity block at `free_rows`, so only those rows of h
+    times each column are needed, and zero entries of a column are skipped."""
+    zero = CycNum.zero(h.conductor)
+    return tuple(
+        tuple(
+            sum((row[i] if v.is_one() else row[i] * v for i, v in enumerate(col) if v), zero)
+            for col in sector.fix_basis
+        )
+        for row in (h.rows[r] for r in sector.free_rows)
+    )
+
+
+def _charpoly(matrix) -> list[CycNum]:
+    """Coefficients [1, c_1, ..., c_k] of det(t - M) = t^k + c_1 t^(k-1) +
+    ... + c_k for a nonempty square M: c_i is (-1)^i times the sum of the
+    principal i x i minors.  `linalg.det` expands minors up to 3 x 3 by
+    cofactors, so a sector of a plane curve inverts no field element."""
+    k = len(matrix)
+    zero = CycNum.zero(matrix[0][0].conductor)
+    coeffs = [CycNum.one(zero.conductor)]
+    for i in range(1, k + 1):
+        subsets = combinations(range(k), i)
+        c = sum((linalg.det([[matrix[r][j] for j in s] for r in s]) for s in subsets), zero)
+        coeffs.append(-c if i % 2 else c)
+    return coeffs
+
+
+def _times_sparse(series: list[CycNum], terms: dict[int, CycNum]) -> list[CycNum]:
+    """series * sum_e terms[e] s^e, truncated to the length of series."""
+    out = [CycNum.zero(series[0].conductor)] * len(series)
+    for e, c in terms.items():
+        if c:
+            for n in range(len(series) - e):
+                if series[n]:
+                    out[n + e] = out[n + e].addmul(series[n], c)
+    return out
+
+
+def _graded_trace(det_h: CycNum, binv, weights: Sequence[int], total: int, top: int) -> list:
+    """Coefficients 0..top of the graded trace of h on a sector, given
+    det(h) and B = h^-1|Fix(g) in sector coordinates of the given weights.
+
+    B must preserve the weight spaces (GradingError otherwise)."""
+    k = len(binv)
+    zero, one = CycNum.zero(det_h.conductor), CycNum.one(det_h.conductor)
+    num = [det_h if k % 2 == 0 else -det_h] + [zero] * top
+    den = [one] + [zero] * top
+    blocks: dict[int, list[int]] = {}
+    for r in range(k):
+        blocks.setdefault(weights[r], []).append(r)
+    for r in range(k):
+        if any(v and weights[c] != weights[r] for c, v in enumerate(binv[r])):
+            raise GradingError(
+                "a centralizing element mixes sector coordinates of different weights"
+            )
+    for w, idx in blocks.items():
+        chi = _charpoly([[binv[r][c] for c in idx] for r in idx])
+        m = len(idx)
+        num = _times_sparse(num, {(total - w) * (m - i): v for i, v in enumerate(chi)})
+        den = _times_sparse(den, {w * i: v for i, v in enumerate(chi)})
+    trace: list[CycNum] = []
+    for n in range(top + 1):
+        v = num[n]
+        for i in range(1, n + 1):
+            if den[i]:
+                v = v.addmul(-den[i], trace[n - i])
+        trace.append(v)
+    return trace
+
+
+def _centralizer_classes(group, inverse, centralizer: Sequence[int], zgens: Sequence[int]) -> list:
+    """(first index, size) of each conjugacy class of the subgroup with
+    the given indices and generators, from the group's index tables."""
+    mul = group.mul_index
+    seen: set[int] = set()
+    out = []
+    for start in centralizer:
+        if start in seen:
+            continue
+        seen.add(start)
+        orbit = [start]
+        for j in orbit:  # orbit doubles as the queue
+            for z in zgens:
+                c = mul(mul(z, j), inverse[z])
+                if c not in seen:
+                    seen.add(c)
+                    orbit.append(c)
+        out.append((start, len(orbit)))
+    return out
+
+
+def invariant_degree_dims(
+    group, sector, centralizer: Sequence[int], zgens: Sequence[int]
+) -> tuple[int, ...]:
+    """Dimension of the Z(g)-invariants of the sector in each weighted
+    degree 0..top, Z(g) given by its element indices and generators.
+
+    Raises CharacterError unless every average is a non-negative integer."""
+    algebra = sector.algebra
+    top = len(algebra.graded_dims) - 1
+    weights = algebra.weights
+    inverse = group.inverse_index()
+    sums = [CycNum.from_rational(n, algebra.conductor) for n in algebra.graded_dims]
+    for rep, size in _centralizer_classes(group, inverse, centralizer, zgens):
+        if rep == 0:
+            continue  # the identity's trace is the Hilbert series: sums' start
+        h = group.elements[rep]
+        binv = restriction_matrix(group.elements[inverse[rep]], sector)
+        trace = _graded_trace(h.det, binv, weights.weights, weights.total, top)
+        scale = CycNum.from_rational(size, algebra.conductor)
+        sums = [s.addmul(scale, t) for s, t in zip(sums, trace)]
+    dims = []
+    for n, s in enumerate(sums):
+        q = s.as_rational() / len(centralizer) if s.is_rational() else None
+        if q is None or q.denominator != 1 or q < 0:
+            raise CharacterError(
+                f"degree {n}: the character average {s}/{len(centralizer)} "
+                "is not a non-negative integer"
+            )
+        dims.append(int(q))
+    return tuple(dims)

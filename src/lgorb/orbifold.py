@@ -14,24 +14,41 @@ coordinates are the deterministic reduced-row-echelon kernel basis of
 g - id, so all reports are reproducible; invariant dimensions do not
 depend on that choice.
 
+The invariant dimension of every weighted-degree block comes from
+characters (`lgorb.molien`), with no normal form and no kernel.  A basis
+is computed only where a block is neither empty nor full: in the identity
+sector, where the invariants form a subalgebra, from products of
+lower-degree invariants, stopping at the predicted rank; otherwise, or
+when the products fall short, as a kernel of the block's action, whose
+dimension must equal the prediction.  Every basis is in the kernel_basis
+convention, which depends on the subspace alone, so the route leaves no
+trace in the report.
+
 The action needs no division: h^-1 also commutes with g, so
 (h|Fix(g))^-1 = h^-1|Fix(g) is read off the group's own inverse.  The
-images of the standard monomials are built in basis order, each from the
-reduced image of a monomial one degree lower times one substituted linear
-form, so every product that gets reduced is already small.
+images of the standard monomials are built in basis order, and only up
+to the highest degree block needed, each from the reduced image of a
+monomial one degree lower times one substituted linear form, so every
+product that gets reduced is already small.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from lgorb import linalg
-from lgorb.errors import GradingError, InadmissibleGroupError, NotASymmetryError, ShapeError
+from lgorb.errors import (
+    CharacterError,
+    GradingError,
+    InadmissibleGroupError,
+    NotASymmetryError,
+    ShapeError,
+)
 from lgorb.exactnum import CycNum
 from lgorb.jacobian import JacobianAlgebra, jacobian_algebra, normal_form
 from lgorb.matgroup import FiniteMatrixGroup, GMatrix, fixed_space
+from lgorb.molien import invariant_degree_dims, restriction_matrix
 from lgorb.polyring import Poly, WeightSystem, restrict_to_subspace, substitute_linear
 
 Matrix = tuple[tuple[CycNum, ...], ...]
@@ -95,14 +112,6 @@ def _build_sector(f: Poly, g: GMatrix, weights: Optional[WeightSystem]) -> Secto
     return Sector(g, basis, restricted, algebra, free_rows)
 
 
-def restriction_matrix(h: GMatrix, sector: Sector) -> Matrix:
-    """h restricted to Fix(g), written in the sector coordinates."""
-    columns = [h.apply(col) for col in sector.fix_basis]
-    return tuple(
-        tuple(col[r] for col in columns) for r in sector.free_rows
-    )
-
-
 def rho(h: GMatrix, g: GMatrix) -> CycNum:
     """The scalar det(h)/det(h|Fix(g)) by which a centralizing h scales xi_g."""
     if h * g != g * h:
@@ -125,63 +134,67 @@ def sector_action(h: GMatrix, sector: Sector) -> Matrix:
 
 def _sector_action(h: GMatrix, hinv: GMatrix, sector: Sector) -> Matrix:
     """`sector_action` for an h already known to commute with sector.g,
-    given its inverse hinv.
+    given its inverse hinv: the degree blocks of `_DegreeAction`, placed
+    on the diagonal."""
+    action = _DegreeAction(h, hinv, sector)
+    mu = sector.algebra.milnor
+    zero = CycNum.zero(sector.algebra.conductor)
+    rows = [[zero] * mu for _ in range(mu)]
+    for b, rng in enumerate(action.slices):
+        for i, row in zip(rng, action.block(b)):
+            rows[i][rng.start : rng.stop] = row
+    return tuple(map(tuple, rows))
+
+
+class _DegreeAction:
+    """The action of a centralizing h (with inverse hinv) on a sector, one
+    weighted-degree block at a time; images are built only up to the
+    highest block asked for.
 
     hinv commutes with g too, so it preserves Fix(g), and because the fix
     basis has an identity block at `free_rows`, (h|Fix(g))^-1 = hinv|Fix(g)
-    is a plain row selection; rho(h, g) = det(h) det(hinv|Fix(g))."""
-    if sector.fix_dim == 0:
-        return ((h.det,),)
-    ainv = restriction_matrix(hinv, sector)
-    scale = h.det * linalg.det(ainv)
-    algebra = sector.algebra
-    mu = algebra.milnor
-    zero = CycNum.zero(algebra.conductor)
-    columns = []
-    for img in _monomial_images(algebra, ainv):
-        col = [zero] * mu
-        for mon, coeff in img.terms.items():
-            col[algebra.basis_index[mon]] = coeff
-        columns.append(col)
-    if scale == -CycNum.one(scale.conductor):
-        columns = [[-v for v in col] for col in columns]
-    elif not scale.is_one():
-        columns = [[v * scale for v in col] for col in columns]
-    return tuple(tuple(columns[j][i] for j in range(mu)) for i in range(mu))
-
-
-def _monomial_images(algebra: JacobianAlgebra, ainv: Matrix) -> list[Poly]:
-    """Reduced images of the basis monomials under t -> ainv t, in basis
-    order.
-
+    is a plain row selection; rho(h, g) = det(h) det(hinv|Fix(g)).
     Standard monomials form an order ideal and the basis is sorted by
     degree, so for m != 1 with first variable x_i, m / x_i is an earlier
     basis monomial; image(m) = normal_form(image(m / x_i) * L_i), where
     L_i = sum_c ainv[i][c] t_c, multiplies an already reduced image of one
     degree lower by one linear form."""
-    k = algebra.arity
-    conductor = algebra.conductor
-    lin = [
-        Poly(
-            k,
-            {
-                tuple(1 if j == c else 0 for j in range(k)): coeff
-                for c, coeff in enumerate(ainv[i])
-                if coeff
-            },
-            conductor,
-        )
-        for i in range(k)
-    ]
-    images: dict = {}
-    for mon in algebra.basis:
-        i = next((j for j, e in enumerate(mon) if e), None)
-        if i is None:
-            images[mon] = Poly.constant(1, k, conductor)
-        else:
+
+    def __init__(self, h: GMatrix, hinv: GMatrix, sector: Sector):
+        algebra = self.algebra = sector.algebra
+        self.slices = algebra.degree_slices()
+        k, conductor = algebra.arity, algebra.conductor
+        ainv = restriction_matrix(hinv, sector)
+        self.scale = h.det * linalg.det(ainv) if k else h.det
+        units = [tuple(int(j == c) for j in range(k)) for c in range(k)]
+        self.lin = [
+            Poly(k, {units[c]: v for c, v in enumerate(row) if v}, conductor) for row in ainv
+        ]
+        self.images = [Poly.constant(1, k, conductor)]  # of algebra.basis[: len(images)]
+
+    def block(self, b: int) -> Matrix:
+        """The action on the degree-b block of the basis; GradingError if an
+        image leaves it."""
+        algebra, rng, images = self.algebra, self.slices[b], self.images
+        for mon in algebra.basis[len(images) : rng.stop]:
+            i = next(j for j, e in enumerate(mon) if e)
             lower = mon[:i] + (mon[i] - 1,) + mon[i + 1 :]
-            images[mon] = normal_form(images[lower] * lin[i], algebra.gb)
-    return list(images.values())
+            images.append(normal_form(images[algebra.basis_index[lower]] * self.lin[i], algebra.gb))
+        zero = CycNum.zero(algebra.conductor)
+        columns = []
+        for img in images[rng.start : rng.stop]:
+            col = [zero] * len(rng)
+            for mon, coeff in img.terms.items():
+                i = algebra.basis_index[mon] - rng.start
+                if not 0 <= i < len(rng):
+                    raise GradingError("sector action does not preserve the grading")
+                col[i] = coeff
+            columns.append(col)
+        if self.scale == -CycNum.one(algebra.conductor):
+            columns = [[-v for v in col] for col in columns]
+        elif not self.scale.is_one():
+            columns = [[v * self.scale for v in col] for col in columns]
+        return tuple(zip(*columns))
 
 
 def invariant_subspace(actions: Sequence[Matrix]) -> tuple[int, tuple[tuple[CycNum, ...], ...]]:
@@ -209,29 +222,6 @@ def invariant_subspace(actions: Sequence[Matrix]) -> tuple[int, tuple[tuple[CycN
     if not stacked:
         return 0, ()
     basis = linalg.kernel_basis(stacked, conductor)
-    return len(basis), tuple(basis)
-
-
-def reynolds_image(actions: Sequence[Matrix]) -> tuple[int, tuple[tuple[CycNum, ...], ...]]:
-    """Image of the averaging operator (1/|H|) sum of the given matrices.
-
-    The caller must pass the action of every element of the group; this is
-    the dual route to `invariant_subspace` and is used to cross-check it.
-    """
-    if not actions:
-        raise ValueError("need at least one action matrix")
-    size = len(actions[0])
-    conductor = actions[0][0][0].conductor if size else 1
-    weight = CycNum.from_rational(Fraction(1, len(actions)), conductor)
-    avg = [
-        [
-            sum((m[i][j] for m in actions[1:]), actions[0][i][j]) * weight
-            for j in range(size)
-        ]
-        for i in range(size)
-    ]
-    columns = [tuple(avg[i][j] for i in range(size)) for j in range(size)]
-    basis = linalg.column_space_basis(columns)
     return len(basis), tuple(basis)
 
 
@@ -309,23 +299,6 @@ class HHReport:
         )
 
 
-def _degree_blocks(matrix: Matrix, slices: Sequence[range]) -> list[Matrix]:
-    """Split a degree-preserving action matrix into its graded blocks.
-
-    The off-block entries must vanish (the ideal is homogeneous and linear
-    substitution preserves degree); this is checked rather than assumed.
-    """
-    block_of = {}
-    for b, rng in enumerate(slices):
-        for i in rng:
-            block_of[i] = b
-    for i in range(len(matrix)):
-        for j in range(len(matrix)):
-            if block_of[i] != block_of[j] and matrix[i][j]:
-                raise GradingError("sector action does not preserve the grading")
-    return [tuple(tuple(matrix[i][j] for j in rng) for i in rng) for rng in slices]
-
-
 def _class_report(
     f: Poly,
     group: FiniteMatrixGroup,
@@ -334,42 +307,40 @@ def _class_report(
     centralizer: Sequence[int],
     weights: Optional[WeightSystem],
 ) -> SectorReport:
+    """Each degree block's invariant dimension comes from the characters;
+    its basis is empty, the whole block, a span of products of invariants
+    (identity sector) or a kernel of the block's action, in that order of
+    preference, and always in the kernel_basis convention."""
     g = group.elements[rep]
     sector = _build_sector(f, g, weights)
     algebra = sector.algebra
     zgens = [i for i in group.subgroup_generator_indices(centralizer) if i != 0]
-    slices = algebra.degree_slices()
-    if not zgens:
-        dims = list(algebra.graded_dims)
-        zero = CycNum.zero(algebra.conductor)
-        one = CycNum.one(algebra.conductor)
-        basis_vectors = [
-            tuple(one if k == i else zero for k in range(algebra.milnor))
-            for i in range(algebra.milnor)
-        ]
-    else:
-        inverse = group.inverse_index()
-        actions = [
-            _sector_action(group.elements[i], group.elements[inverse[i]], sector)
-            for i in zgens
-        ]
-        per_block = [_degree_blocks(m, slices) for m in actions]
-        dims = []
-        basis_vectors = []
-        zero = CycNum.zero(algebra.conductor)
-        for b, rng in enumerate(slices):
-            if len(rng) == 0:
-                dims.append(0)
-                continue
-            dim, vecs = invariant_subspace([blocks[b] for blocks in per_block])
-            dims.append(dim)
-            for v in vecs:
-                full = [zero] * algebra.milnor
-                for offset, value in zip(rng, v):
-                    full[offset] = value
-                basis_vectors.append(tuple(full))
-    invariant_dim = sum(dims)
-    basis_polys = tuple(algebra.poly_from_vector(v) for v in basis_vectors)
+    dims = invariant_degree_dims(group, sector, centralizer, zgens)
+    actions: list[_DegreeAction] = []  # built when a first block needs a kernel
+    zero, one = CycNum.zero(algebra.conductor), CycNum.one(algebra.conductor)
+    by_degree: list[list[Poly]] = []
+    for b, (rng, dim) in enumerate(zip(algebra.degree_slices(), dims)):
+        if dim == len(rng):
+            vecs = [tuple(one if k == i else zero for k in range(dim)) for i in range(dim)]
+        elif dim == 0:
+            vecs = []
+        else:
+            products = _products(algebra, by_degree, b, rng) if rep == 0 else ()
+            vecs = linalg.kernel_form_basis(products, dim)
+            if len(vecs) < dim:
+                inverse = group.inverse_index()
+                actions = actions or [
+                    _DegreeAction(group.elements[i], group.elements[inverse[i]], sector)
+                    for i in zgens
+                ]
+                found, vecs = invariant_subspace([a.block(b) for a in actions])
+                if found != dim:
+                    raise CharacterError(
+                        f"degree {b}: the invariant kernel has dimension {found}, "
+                        f"the character average {dim}"
+                    )
+        terms = [{algebra.basis[rng.start + i]: c for i, c in enumerate(v) if c} for v in vecs]
+        by_degree.append([Poly(algebra.arity, t, algebra.conductor) for t in terms])
     return SectorReport(
         rep_index=rep,
         rep_word=group.word_for(rep),
@@ -378,10 +349,22 @@ def _class_report(
         centralizer_order=len(centralizer),
         fix_dim=sector.fix_dim,
         sector_dim_raw=algebra.milnor,
-        invariant_dim=invariant_dim,
-        degree_dims=tuple(dims),
-        invariant_basis=basis_polys,
+        invariant_dim=sum(dims),
+        degree_dims=dims,
+        invariant_basis=tuple(p for polys in by_degree for p in polys),
     )
+
+
+def _products(algebra: JacobianAlgebra, by_degree: list[list[Poly]], b: int, rng: range):
+    """Coordinates in the degree-b block `rng` of the products of two
+    invariants of positive degree whose degrees add up to b.  In the
+    identity sector rho is 1, so invariants form a subalgebra and every
+    product is invariant."""
+    for i in range(1, b // 2 + 1):
+        highs = by_degree[b - i]
+        for p, low in enumerate(by_degree[i]):
+            for high in highs[p:] if 2 * i == b else highs:
+                yield algebra.vector(low * high)[rng.start : rng.stop]
 
 
 def _validate_group(f: Poly, group: FiniteMatrixGroup):

@@ -6,8 +6,8 @@ Fractions/CycNum, products of roots of unity are expanded by exponent
 arithmetic, and determinants are expanded by hand.  The route oracles are
 the slower, more direct ways the engine used to compute a result (matrix
 products instead of tables, one elimination per right-hand side, full
-substitutions, Euclid over Fractions); the tests check the fast routes
-against them entry for entry.
+substitutions, Euclid over Fractions, a kernel for every degree block);
+the tests check the fast routes against them entry for entry.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from itertools import combinations_with_replacement
 
 from lgorb import linalg
 from lgorb.exactnum import CycNum, cyclotomic_polynomial
-from lgorb.orbifold import restriction_matrix
+from lgorb.orbifold import _build_sector, _sector_action, invariant_subspace, restriction_matrix
 from lgorb.polyring import Poly, compose_linear, partial_derivative
 
 
@@ -312,3 +312,64 @@ def euclid_inverse(a: CycNum) -> CycNum:
     mod = [Fraction(c) for c in cyclotomic_polynomial(a.conductor)]
     inv = poly_invmod([Fraction(v, a.den) for v in a.nums], mod)
     return CycNum.from_coeffs(a.conductor, inv + [Fraction(0)] * (len(a.nums) - len(inv)))
+
+
+def reynolds_image(actions) -> tuple[int, tuple]:
+    """Image of the averaging operator (1/|H|) sum of the given matrices.
+
+    The caller must pass the action of every element of the group; this is
+    the dual route to `invariant_subspace` and is used to cross-check it.
+    """
+    if not actions:
+        raise ValueError("need at least one action matrix")
+    size = len(actions[0])
+    conductor = actions[0][0][0].conductor if size else 1
+    weight = CycNum.from_rational(Fraction(1, len(actions)), conductor)
+    avg = [
+        [
+            sum((m[i][j] for m in actions[1:]), actions[0][i][j]) * weight
+            for j in range(size)
+        ]
+        for i in range(size)
+    ]
+    columns = [tuple(avg[i][j] for i in range(size)) for j in range(size)]
+    basis = linalg.column_space_basis(columns)
+    return len(basis), tuple(basis)
+
+
+def kernel_route(f, group, weights) -> dict:
+    """{class representative: (degree dimensions, invariant basis)} by the
+    route that solves every degree block: the full `_sector_action` of each
+    centralizer generator, cut into its degree blocks (the off-block
+    entries must vanish), and `invariant_subspace` on each block; a
+    trivial centralizer keeps the whole sector."""
+    conj = group.conjugacy()
+    inverse = group.inverse_index()
+    out = {}
+    for rep, _ in conj.classes:
+        sector = _build_sector(f, group.elements[rep], weights)
+        algebra = sector.algebra
+        gens = [i for i in group.subgroup_generator_indices(conj.centralizers[rep]) if i]
+        actions = [
+            _sector_action(group.elements[i], group.elements[inverse[i]], sector) for i in gens
+        ]
+        zero, one = CycNum.zero(algebra.conductor), CycNum.one(algebra.conductor)
+        dims, basis = [], []
+        for rng in algebra.degree_slices():
+            for m in actions:
+                for i in rng:
+                    if any(m[i][j] for j in range(algebra.milnor) if j not in rng):
+                        raise ValueError("sector action does not preserve the grading")
+            blocks = [tuple(tuple(m[i][j] for j in rng) for i in rng) for m in actions]
+            if blocks and len(rng):
+                dim, vecs = invariant_subspace(blocks)
+            else:
+                dim = len(rng)
+                vecs = [tuple(one if k == i else zero for k in range(dim)) for i in range(dim)]
+            dims.append(dim)
+            for v in vecs:
+                full = [zero] * algebra.milnor
+                full[rng.start : rng.stop] = v
+                basis.append(algebra.poly_from_vector(full))
+        out[rep] = (tuple(dims), tuple(basis))
+    return out

@@ -117,3 +117,13 @@ def test_expected_reference_data():
         expected("b", hat=True)
     vec = expected("e").identity_dimension_vector
     assert vec == (1, 0, 3, 1, 3, 0, 1)
+
+
+def test_slf_per_sector_dims_match_as_a_multiset(klein, hh):
+    """The recorded keys name classes of the recorded presentation, not the
+    engine's representatives, so only the values are compared."""
+    recorded = expected("slf").per_sector_dims
+    report = hh.report(catalog_group("slf"))
+    assert [s.rep_word for s in report.sectors] == ["id", "R", "T", "S", "RTS", "RST"]
+    computed = [s.invariant_dim for s in report.sectors if s.rep_index != 0]
+    assert sorted(computed) == sorted(recorded.values()) == [1, 1, 1, 3, 3]

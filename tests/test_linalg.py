@@ -138,3 +138,30 @@ def test_solve_rejects_right_hand_sides_of_the_wrong_length():
     one = CycNum.one(7)
     with pytest.raises(ShapeError):
         linalg.solve([[one], [one]], [[one]])
+
+
+def test_kernel_form_basis_is_the_kernel_basis_of_the_span():
+    """Random combinations of a kernel basis, in any order and with
+    dependent extras, give back kernel_basis exactly; `stop` ends the scan
+    early and leaves the rest of the iterator unread."""
+    rng = random.Random(17)
+    for nrows, ncols in ((1, 4), (2, 5), (3, 6), (1, 2)):
+        matrix = [[_rand_entry(rng) for _ in range(ncols)] for _ in range(nrows)]
+        matrix.append([v * 2 for v in matrix[0]])  # a dependent row
+        expected = linalg.kernel_basis(matrix)
+        mixes = []
+        for _ in range(len(expected) + 2):
+            coeffs = [_rand_entry(rng) for _ in expected]
+            mixes.append(
+                tuple(
+                    sum((c * v[j] for c, v in zip(coeffs, expected)), CycNum.zero(7))
+                    for j in range(ncols)
+                )
+            )
+        assert linalg.kernel_form_basis(mixes) == expected
+        assert linalg.kernel_form_basis(reversed(expected)) == expected
+        stream = iter(mixes + [None])  # None would fail if it were read
+        assert linalg.kernel_form_basis(stream, len(expected)) == expected
+    assert linalg.kernel_form_basis([]) == []
+    zero = CycNum.zero(7)
+    assert linalg.kernel_form_basis([(zero, zero)]) == []

@@ -4,27 +4,33 @@ import pytest
 
 from lgorb import linalg
 from lgorb.catalog import catalog_group, generator_matrix, word_matrix
-from lgorb.errors import GradingError, InadmissibleGroupError, NotASymmetryError, ShapeError
+from lgorb.errors import (
+    CharacterError,
+    GradingError,
+    InadmissibleGroupError,
+    NotASymmetryError,
+    ShapeError,
+)
 from lgorb.exactnum import CycNum
 from lgorb.jacobian import jacobian_algebra
 from lgorb.matgroup import GMatrix, generate_closure, from_elements
 from lgorb.orbifold import (
     HHReport,
     _build_sector,
-    _degree_blocks,
+    _DegreeAction,
     _sector_action,
     build_sector,
     compute_hh,
     identity_sector_products,
     invariant_subspace,
     restriction_matrix,
-    reynolds_image,
     rho,
     sector_action,
     surface_cohomology_dim,
 )
+from lgorb.molien import invariant_degree_dims
 from lgorb.polyring import Poly, WeightSystem
-from oracles import pairwise_product_table, substitution_sector_action
+from oracles import kernel_route, pairwise_product_table, reynolds_image, substitution_sector_action
 
 
 def test_surface_cohomology_dim():
@@ -352,11 +358,25 @@ def test_identity_sector_products_match_pairwise_oracle(klein, key, hat):
 
 
 def test_degree_blocks_rejects_mixed_degrees():
+    """The per-degree action checks that each image stays in its block:
+    for x1^3 + x2^6 + x3^6 with weights (2, 1, 1; 6), swapping x1 and x2
+    sends the degree-1 class x2 to the degree-2 class x1.  The character
+    route rejects the same swap because it mixes weight spaces."""
     one, zero = CycNum.one(28), CycNum.zero(28)
-    mixing = ((one, one), (zero, one))
-    assert _degree_blocks(mixing, [range(0, 2)]) == [mixing]
+    f = Poly(3, {(3, 0, 0): one, (0, 6, 0): one, (0, 0, 6): one}, 28)
+    w = WeightSystem((2, 1, 1), 6)
+    sector = build_sector(f, GMatrix.identity(3, 28), w)
+    swap = GMatrix([[zero, one, zero], [one, zero, zero], [zero, zero, one]])
+    action = _DegreeAction(swap, swap, sector)
+    assert action.block(0) == ((one,),)
     with pytest.raises(GradingError, match="^sector action does not preserve the grading$"):
-        _degree_blocks(mixing, [range(0, 1), range(1, 2)])
+        action.block(1)
+    diag = GMatrix.diagonal([one, -one, -one])
+    assert _DegreeAction(diag, diag, sector).block(1) == ((-one, zero), (zero, -one))
+    group = generate_closure([swap])
+    mixes = "^a centralizing element mixes sector coordinates of different weights$"
+    with pytest.raises(GradingError, match=mixes):
+        invariant_degree_dims(group, sector, (0, 1), [1])
 
 
 def test_report_json_roundtrip(klein):
@@ -366,6 +386,30 @@ def test_report_json_roundtrip(klein):
 
     data = json.loads(json.dumps(report.to_dict()))
     assert HHReport.from_dict(data) == report
+
+
+_REPORT_DIGESTS = {
+    ("e", True): "5bd87e3b8a1bda6e651c04167702e95768c03bcd77c626acec25bc6d9b90612d",
+    ("g", False): "f9ca5981d5fb11204f93b5f415d06a89658e0376e00d7f6b312685076c2f5cdc",
+    ("slf", True): "4f3b301426f5988e47da02e676dc6332516f134571867672e1e946d6134d6532",
+    ("d", False): "19103e2c91a8f4236b1b4b27c09bfaa8ecd430172d9d6005499d34f10d583ad5",
+    ("i", 909): "b69aa256f843e120d0f79684e654f966b5ed23f662fcc9b1af98565c213a0bb1",
+}
+
+
+@pytest.mark.parametrize(
+    "key, how", list(_REPORT_DIGESTS), ids=["e^", "g", "slf^", "d", "i-conjugate"]
+)
+def test_report_bytes_are_pinned(klein, hh, key, how):
+    """SHA-256 of the sorted-key report JSON, recorded from the
+    kernel-per-degree-block engine; any change of basis, order or
+    coefficient shows here.  `how` is the hat flag or a conjugator seed."""
+    import hashlib
+    import json
+
+    group = catalog_group(key, hat=how) if isinstance(how, bool) else _dense_conjugate(key, how)
+    blob = json.dumps(hh.report(group).to_dict(), sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == _REPORT_DIGESTS[key, how]
 
 
 def test_repeated_computation_is_deterministic(klein):
@@ -423,3 +467,85 @@ def test_fixed_locus_mixing_weights_is_a_grading_error():
     swap = GMatrix([[zero, one, zero], [one, zero, zero], [zero, zero, one]])
     with pytest.raises(GradingError, match="^the fixed locus is not spanned by weight-homogeneous vectors$"):
         _build_sector(f, swap, WeightSystem((2, 1, 1), 4))
+
+
+_ORACLE_GROUPS = [(key, hat) for key in ("slf", *"abcdefghij") for hat in (False, True)]
+_ORACLE_GROUPS += [(key, 300 + k) for k, key in enumerate("abcdefghij")]
+
+
+@pytest.mark.parametrize(
+    "key, how",
+    _ORACLE_GROUPS,
+    ids=[
+        key + ("^" if how is True else "" if how is False else f"@{how}")
+        for key, how in _ORACLE_GROUPS
+    ],
+)
+def test_characters_and_reports_match_the_kernel_route(klein, hh, key, how):
+    """Per class and per degree, the character prediction and the shipped
+    report (dimensions and bases) equal a kernel on every degree block."""
+    f, w = klein
+    group = catalog_group(key, hat=how) if isinstance(how, bool) else _dense_conjugate(key, how)
+    expected = kernel_route(f, group, w)
+    report = hh.report(group)
+    conj = group.conjugacy()
+    assert [s.rep_index for s in report.sectors] == list(expected)
+    for s in report.sectors:
+        dims, basis = expected[s.rep_index]
+        assert (s.degree_dims, s.invariant_basis) == (dims, basis)
+        centralizer = conj.centralizers[s.rep_index]
+        zgens = [i for i in group.subgroup_generator_indices(centralizer) if i]
+        sector = _build_sector(f, group.elements[s.rep_index], w)
+        assert invariant_degree_dims(group, sector, centralizer, zgens) == dims
+    # the recorded totals that the exact computation contradicts
+    disputed = {("g", False): 12, ("slf", True): 6, ("j", False): 12}
+    if (key, how) in disputed:
+        assert sum(sum(dims) for dims, _ in expected.values()) == disputed[key, how]
+
+
+def test_weighted_characters_match_the_kernel_route():
+    one = CycNum.one(28)
+    f = Poly(3, {(2, 0, 0): one, (0, 4, 0): one, (0, 0, 4): one}, 28)
+    w = WeightSystem((2, 1, 1), 4)
+    group = generate_closure([GMatrix.diagonal([one, -one, -one])])
+    expected = kernel_route(f, group, w)
+    report = compute_hh(f, group, w)
+    assert {s.rep_index: (s.degree_dims, s.invariant_basis) for s in report.sectors} == expected
+    assert expected[0][0] == (1, 0, 3, 0, 1)
+    assert sum(sum(dims) for dims, _ in expected.values()) == 6
+    for rep, (dims, _) in expected.items():
+        sector = _build_sector(f, group.elements[rep], w)
+        assert invariant_degree_dims(group, sector, (0, 1), [1]) == dims
+
+
+def test_character_average_must_be_a_non_negative_integer(klein):
+    """Averaging over {1, S}, which is not a subgroup, gives the irrational
+    (3 + tr S^-1)/2 in degree 1."""
+    f, w = klein
+    group = catalog_group("a")
+    sector = _build_sector(f, group.elements[0], w)
+    message = "^degree 1: the character average .* is not a non-negative integer$"
+    with pytest.raises(CharacterError, match=message):
+        invariant_degree_dims(group, sector, (0, 1), [])
+
+
+def test_kernel_dimension_must_match_the_characters(klein, monkeypatch):
+    """A block whose predicted dimension no kernel confirms raises: one
+    invariant too many in degree 2 of catalog d's identity sector, where
+    products of invariants fall short and the kernel is taken."""
+    import lgorb.orbifold as orbifold
+
+    f, w = klein
+    group = catalog_group("d")
+    honest = orbifold.invariant_degree_dims
+
+    def one_too_many(group, sector, centralizer, zgens):
+        dims = list(honest(group, sector, centralizer, zgens))
+        if sector.fix_dim == 3:
+            dims[2] += 1
+        return tuple(dims)
+
+    monkeypatch.setattr(orbifold, "invariant_degree_dims", one_too_many)
+    message = "^degree 2: the invariant kernel has dimension 4, the character average 5$"
+    with pytest.raises(CharacterError, match=message):
+        compute_hh(f, group, w)

@@ -199,6 +199,14 @@ def test_cli_input_errors_exit_2(tmp_path, capsys):
             '{"conductor": true, "generators": ["RS^2RS"]}',
             "error: 'conductor' must be 28, the polynomial's conductor\n",
         ),
+        (
+            '{"generators": ["S"], "hats": true}',
+            "error: unknown group-file key 'hats'; known keys: conductor, generators, hat, matrices\n",
+        ),
+        (
+            '{"generators": ["S"], "matrices": [[[1]]]}',
+            "error: give 'generators' or 'matrices', not both\n",
+        ),
     ],
     ids=[
         "top-level-list",
@@ -209,6 +217,8 @@ def test_cli_input_errors_exit_2(tmp_path, capsys):
         "conductor-5",
         "conductor-string",
         "conductor-true",
+        "unknown-key",
+        "generators-and-matrices",
     ],
 )
 def test_cli_malformed_group_file_exit_2(tmp_path, capsys, content, message):
