@@ -6,6 +6,12 @@ numerator vectors over a common positive denominator.  Equality is
 therefore structural and hashing is sound.  Rational numbers are the
 conductor-1 case; `fractions.Fraction` is the scalar type throughout.
 
+Arithmetic runs in `lgorb._kernels`.  Sums of products (matrix entries,
+determinant cofactors, polynomial coefficients) go through `CycNum.dot`,
+which reduces and normalizes once per sum instead of once per product; the
+per-conductor reduction rows are kept sparse, so multiplying skips the
+zero coefficients of Phi_n's rows and of the second operand.
+
 All values are immutable and every operation is a pure function, so
 instances can be shared freely across threads.
 """
@@ -17,7 +23,7 @@ from fractions import Fraction
 from math import gcd
 
 from lgorb import _kernels
-from lgorb.errors import ConductorMismatchError
+from lgorb.errors import ConductorMismatchError, ShapeError
 
 Rational = Fraction
 
@@ -72,7 +78,7 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
 class _Field:
     """Per-conductor context: totient and power-basis reduction rows."""
 
-    __slots__ = ("n", "phi", "rows")
+    __slots__ = ("n", "phi", "rows", "_sparse")
 
     def __init__(self, n: int):
         self.n = n
@@ -80,6 +86,7 @@ class _Field:
         cyc = cyclotomic_polynomial(n)
         base = tuple(-c for c in cyc[: self.phi])  # zeta^phi over the basis
         self.rows: list[tuple[int, ...]] = [base]
+        self._sparse: list[tuple[tuple[int, int], ...]] | None = None
 
     def row(self, e: int) -> tuple[int, ...]:
         """Reduction row of zeta^(phi + e) over the power basis."""
@@ -94,9 +101,16 @@ class _Field:
             rows.append(tuple(shifted))
         return rows[e]
 
-    def mul_rows(self) -> list[tuple[int, ...]]:
-        self.row(self.phi - 2 if self.phi >= 2 else 0)
-        return self.rows
+    def mul_rows(self) -> list[tuple[tuple[int, int], ...]]:
+        """The reduction rows of zeta^phi .. zeta^(2 phi - 2), each as its
+        nonzero (index, value) pairs: the table the kernels take."""
+        sparse = self._sparse
+        if sparse is None:
+            sparse = [
+                tuple((j, v) for j, v in enumerate(self.row(e)) if v) for e in range(self.phi - 1)
+            ]
+            self._sparse = sparse
+        return sparse
 
 
 _FIELDS: dict[int, _Field] = {}
@@ -239,6 +253,28 @@ class CycNum:
             _field(self.conductor).mul_rows(),
         )
         return CycNum(self.conductor, nums, den, _canonical=True)
+
+    @staticmethod
+    def dot(left, right) -> "CycNum":
+        """sum(a * b for a, b in zip(left, right)), fused: one convolution
+        buffer, one reduction and one normalization for the whole sum.  The
+        value is canonical, so it equals the fold of * and + exactly.  Empty
+        or unequal-length inputs raise ShapeError (never truncated), mixed
+        conductors ConductorMismatchError."""
+        if not left or len(left) != len(right):
+            raise ShapeError(
+                f"dot needs two nonempty sequences of one length, got {len(left)} and {len(right)}"
+            )
+        n = left[0].conductor
+        terms = []
+        for a, b in zip(left, right):
+            if a.conductor != n or b.conductor != n:
+                raise ConductorMismatchError(
+                    f"conductor mismatch: {n} vs {a.conductor} and {b.conductor}"
+                )
+            terms.append((a.nums, a.den, b.nums, b.den))
+        nums, den = _kernels.dot(terms, _field(n).mul_rows())
+        return CycNum(n, nums, den, _canonical=True)
 
     def inverse(self) -> "CycNum":
         """Multiplicative inverse by fraction-free integer elimination (with

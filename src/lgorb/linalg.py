@@ -126,12 +126,14 @@ def det(matrix) -> CycNum:
         return CycNum.one(1)
     if n == 1:
         return rows[0][0]
+    dot = CycNum.dot
     if n == 2:
         (a, b), (c, d) = rows
-        return a * d - b * c
+        return dot((a, -b), (d, c))
     if n == 3:
         (a, b, c), (d, e, f), (g, h, i) = rows
-        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+        minors = (dot((e, -f), (i, h)), dot((d, -f), (i, g)), dot((d, -e), (h, g)))
+        return dot((a, -b, c), minors)
     conductor = rows[0][0].conductor
     result = CycNum.one(conductor)
     for c in range(n):

@@ -95,20 +95,9 @@ class GMatrix:
             return NotImplemented
         if self.n != other.n or self.conductor != other.conductor:
             raise ShapeError("incompatible matrices")
-        n = self.n
         cols = list(zip(*other.rows))
-        out = []
-        for i in range(n):
-            row_i = self.rows[i]
-            out_row = []
-            for j in range(n):
-                col_j = cols[j]
-                acc = row_i[0] * col_j[0]
-                for k in range(1, n):
-                    acc = acc.addmul(row_i[k], col_j[k])
-                out_row.append(acc)
-            out.append(out_row)
-        return GMatrix(out)
+        dot = CycNum.dot
+        return GMatrix([[dot(row, col) for col in cols] for row in self.rows])
 
     def __neg__(self) -> "GMatrix":
         return GMatrix([[-e for e in row] for row in self.rows])
@@ -142,10 +131,7 @@ class GMatrix:
         raise OrderCapExceededError(f"element order exceeds cap {cap}")
 
     def apply(self, vec: Sequence[CycNum]) -> tuple[CycNum, ...]:
-        return tuple(
-            sum((self.rows[i][k] * vec[k] for k in range(1, self.n)), self.rows[i][0] * vec[0])
-            for i in range(self.n)
-        )
+        return tuple(CycNum.dot(row, vec) for row in self.rows)
 
     def __eq__(self, other):
         if not isinstance(other, GMatrix):

@@ -35,12 +35,11 @@ def restriction_matrix(h, sector) -> tuple[tuple[CycNum, ...], ...]:
     """h restricted to Fix(g), written in the sector coordinates.  The fix
     basis has an identity block at `free_rows`, so only those rows of h
     times each column are needed, and zero entries of a column are skipped."""
-    zero = CycNum.zero(h.conductor)
+    support = [
+        ([i for i, v in enumerate(col) if v], [v for v in col if v]) for col in sector.fix_basis
+    ]
     return tuple(
-        tuple(
-            sum((row[i] if v.is_one() else row[i] * v for i, v in enumerate(col) if v), zero)
-            for col in sector.fix_basis
-        )
+        tuple(CycNum.dot([row[i] for i in idx], vals) for idx, vals in support)
         for row in (h.rows[r] for r in sector.free_rows)
     )
 

@@ -6,7 +6,8 @@ Fractions/CycNum, products of roots of unity are expanded by exponent
 arithmetic, and determinants are expanded by hand.  The route oracles are
 the slower, more direct ways the engine used to compute a result (matrix
 products instead of tables, one elimination per right-hand side, full
-substitutions, Euclid over Fractions, a kernel for every degree block);
+substitutions, Euclid over Fractions, a kernel for every degree block,
+a dense convolution and reduction for every field product);
 the tests check the fast routes against them entry for entry.
 """
 
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from math import gcd
 
 from lgorb import linalg
 from lgorb.exactnum import CycNum, cyclotomic_polynomial
@@ -312,6 +314,63 @@ def euclid_inverse(a: CycNum) -> CycNum:
     mod = [Fraction(c) for c in cyclotomic_polynomial(a.conductor)]
     inv = poly_invmod([Fraction(v, a.den) for v in a.nums], mod)
     return CycNum.from_coeffs(a.conductor, inv + [Fraction(0)] * (len(a.nums) - len(inv)))
+
+
+def dense_rows(n: int) -> list[list[int]]:
+    """Dense reduction rows of x^phi .. x^(2 phi - 2) modulo Phi_n, built
+    from the cyclotomic polynomial alone (one row per power, every entry)."""
+    cyc = cyclotomic_polynomial(n)
+    phi = len(cyc) - 1
+    rows = [[-c for c in cyc[:phi]]]
+    while len(rows) < max(phi - 1, 1):
+        prev = rows[-1]
+        shifted = [0] + prev[:-1]
+        rows.append([v + prev[-1] * b for v, b in zip(shifted, rows[0])])
+    return rows
+
+
+def dense_mul_nums(an, bn, rows) -> list[int]:
+    """Numerators of a*b over the power basis (denominator ad*bd, not
+    normalized): the field multiply's dense route, which convolves every
+    coefficient pair and folds each high power back with a full dense row
+    of `dense_rows`."""
+    phi = len(an)
+    conv = [0] * (2 * phi - 1)
+    for i, ai in enumerate(an):
+        if ai:
+            for j, bj in enumerate(bn):
+                if bj:
+                    conv[i + j] += ai * bj
+    out = conv[:phi]
+    for e in range(phi, 2 * phi - 1):
+        ce = conv[e]
+        if ce:
+            row = rows[e - phi]
+            for j, rj in enumerate(row):
+                if rj:
+                    out[j] += ce * rj
+    return out
+
+
+def fraction_canonical(coeffs) -> tuple[tuple[int, ...], int]:
+    """The canonical (nums, den) of rational power-basis coefficients: den
+    is the least common denominator, so gcd(*nums, den) = 1."""
+    fracs = [Fraction(c) for c in coeffs]
+    den = 1
+    for c in fracs:
+        den = den * c.denominator // gcd(den, c.denominator)
+    return tuple(c.numerator * (den // c.denominator) for c in fracs), den
+
+
+def dense_dot(terms, n: int) -> tuple[tuple[int, ...], int]:
+    """Canonical sum of a*b over (an, ad, bn, bd) terms: each product by
+    the dense route, summed as Fractions."""
+    rows = dense_rows(n)
+    total = [Fraction(0)] * len(terms[0][0])
+    for an, ad, bn, bd in terms:
+        for j, v in enumerate(dense_mul_nums(an, bn, rows)):
+            total[j] += Fraction(v, ad * bd)
+    return fraction_canonical(total)
 
 
 def reynolds_image(actions) -> tuple[int, tuple]:

@@ -3,9 +3,18 @@ from fractions import Fraction
 
 import pytest
 
-from lgorb.errors import ConductorMismatchError
-from lgorb.exactnum import CycNum, cyclotomic_polynomial, euler_phi, zeta
-from oracles import euclid_inverse, reduce_prime_conductor, root_product_coeffs
+from lgorb import _kernels
+from lgorb.errors import ConductorMismatchError, ShapeError
+from lgorb.exactnum import CycNum, _field, cyclotomic_polynomial, euler_phi, zeta
+from oracles import (
+    dense_dot,
+    dense_mul_nums,
+    dense_rows,
+    euclid_inverse,
+    fraction_canonical,
+    reduce_prime_conductor,
+    root_product_coeffs,
+)
 
 
 def sqrt_minus_seven(conductor=7):
@@ -168,14 +177,120 @@ def test_str_and_complex_approx_smoke():
     assert "z7" in str(s)
 
 
+KERNEL_CONDUCTORS = [1, 2, 3, 4, 7, 12, 28, 84]
+
+
+def _raw_operands(rng, conductor):
+    """Canonical raw values (nums, den): zero, single-term, sparse, dense
+    and above-2**64 numerators, over denominators 1 up to 3**41."""
+    phi = euler_phi(conductor)
+    out = [((0,) * phi, 1)]
+    for _ in range(6):
+        single = [0] * phi
+        single[rng.randrange(phi)] = rng.choice([-1, 1]) * rng.randint(1, 9)
+        sparse = [rng.choice([0, 0, 0, rng.randint(-40, 40)]) for _ in range(phi)]
+        dense = [rng.randint(-9, 9) for _ in range(phi)]
+        huge = [rng.choice([0, rng.randint(-(2**90), 2**90)]) for _ in range(phi)]
+        huge[rng.randrange(phi)] = 2**64 + rng.randint(1, 2**70)
+        for nums in (single, sparse, dense, huge):
+            den = rng.choice([1, 1, 2, 7, 12, 49, 3**41])
+            out.append(_kernels.normalize(list(nums), den))
+    return out
+
+
+@pytest.mark.parametrize("conductor", KERNEL_CONDUCTORS)
+def test_mul_and_addmul_kernels_match_dense_route(conductor):
+    rng = random.Random(5100 + conductor)
+    rows, oracle_rows = _field(conductor).mul_rows(), dense_rows(conductor)
+    values = _raw_operands(rng, conductor)
+    assert any(max(map(abs, nums)) > 2**64 for nums, _ in values)
+    for an, ad in values:
+        for bn, bd in values:
+            product = [Fraction(v, ad * bd) for v in dense_mul_nums(an, bn, oracle_rows)]
+            assert _kernels.mul(an, ad, bn, bd, rows) == fraction_canonical(product)
+    for _ in range(60):
+        (an, ad), (bn, bd), (cn, cd) = (rng.choice(values) for _ in range(3))
+        product = dense_mul_nums(bn, cn, oracle_rows)
+        expected = [Fraction(a, ad) + Fraction(p, bd * cd) for a, p in zip(an, product)]
+        assert _kernels.addmul(an, ad, bn, bd, cn, cd, rows) == fraction_canonical(expected)
+
+
+@pytest.mark.parametrize("conductor", KERNEL_CONDUCTORS)
+def test_dot_kernel_matches_dense_route(conductor):
+    rng = random.Random(5200 + conductor)
+    rows = _field(conductor).mul_rows()
+    values = _raw_operands(rng, conductor)
+    zero = values[0]
+    for length in (1, 1, 2, 3, 5, 9) * 6:
+        terms = [(*rng.choice(values), *rng.choice(values)) for _ in range(length)]
+        assert _kernels.dot(terms, rows) == dense_dot(terms, conductor)
+    all_zero = [(*zero, *rng.choice(values)), (*rng.choice(values), *zero)]
+    assert _kernels.dot(all_zero, rows) == zero
+
+
+@pytest.mark.parametrize("p", [3, 7])
+def test_kernels_match_root_of_unity_expansion(p):
+    """For prime p the power basis is zeta^0 .. zeta^(p-2); products of
+    integer combinations of roots are expanded by exponent arithmetic and
+    reduced with 1 + zeta + ... + zeta^(p-1) = 0 alone."""
+    rng = random.Random(5300 + p)
+    rows = _field(p).mul_rows()
+    for _ in range(40):
+        a = {e: rng.randint(-5, 5) for e in rng.sample(range(p - 1), rng.randint(1, p - 1))}
+        b = {e: rng.randint(-5, 5) for e in rng.sample(range(p - 1), rng.randint(1, p - 1))}
+        c = {e: rng.randint(-5, 5) for e in rng.sample(range(p - 1), rng.randint(1, p - 1))}
+        an, bn, cn = ([d.get(e, 0) for e in range(p - 1)] for d in (a, b, c))
+        ab = reduce_prime_conductor(root_product_coeffs(a, b, p), p)
+        bc = reduce_prime_conductor(root_product_coeffs(b, c, p), p)
+        assert _kernels.mul(an, 1, bn, 1, rows) == fraction_canonical(ab)
+        assert _kernels.addmul(an, 1, bn, 1, cn, 1, rows) == fraction_canonical(
+            [x + y for x, y in zip(an, bc)]
+        )
+        assert _kernels.dot([(an, 1, bn, 3), (bn, 2, cn, 1)], rows) == fraction_canonical(
+            [x / 3 + y / 2 for x, y in zip(ab, bc)]
+        )
+
+
+@pytest.mark.parametrize("conductor", [7, 28, 84])
+def test_cycnum_dot_equals_fold_of_products(conductor):
+    rng = random.Random(5400 + conductor)
+    zero = CycNum.zero(conductor)
+    for length in (1, 2, 3, 4, 7):
+        for _ in range(8):
+            left = [_random_cyc(rng, conductor) for _ in range(length)]
+            right = [_random_cyc(rng, conductor) for _ in range(length)]
+            fold = sum((a * b for a, b in zip(left, right)), zero)
+            got = CycNum.dot(left, right)
+            assert got == fold and got.nums == fold.nums and got.den == fold.den
+    a, b = _random_cyc(rng, conductor), _random_cyc(rng, conductor)
+    assert CycNum.dot([a], [b]) == a * b
+    assert CycNum.dot((zero, a, zero), (b, zero, zero)) == zero
+    assert CycNum.dot([zero] * 3, [zero] * 3).den == 1
+
+
+def test_dot_rejects_mixed_conductors():
+    a7, a28 = 1 + zeta(7), 1 + zeta(28)
+    for left, right in ([a7, a7], [a7, a28]), ([a7, a28], [a7, a7]), ([a28], [a7]):
+        with pytest.raises(ConductorMismatchError):
+            CycNum.dot(left, right)
+
+
+def test_dot_rejects_empty_and_unequal_lengths():
+    """A length mismatch raises instead of dropping the unpaired terms."""
+    a, b = zeta(28, 3), zeta(28, 5)
+    for left, right in ([], []), ([a, b], [a]), ([a], [a, b]), ([], [a]):
+        with pytest.raises(ShapeError):
+            CycNum.dot(left, right)
+
+
 def test_arithmetic_calls_through_the_kernel_module(monkeypatch):
     """CycNum reaches the field kernels through the module attributes of
     `lgorb._kernels`, so wrapping them (as the benchmark's counting pass
-    does) sees every +, * and addmul."""
+    does) sees every +, *, addmul and dot."""
     import lgorb
-    from lgorb import _kernels
+    from lgorb.matgroup import GMatrix
 
-    calls = {"add": 0, "mul": 0, "addmul": 0}
+    calls = {"add": 0, "mul": 0, "addmul": 0, "dot": 0}
     for name in calls:
         real = getattr(_kernels, name)
 
@@ -185,11 +300,16 @@ def test_arithmetic_calls_through_the_kernel_module(monkeypatch):
 
         monkeypatch.setattr(_kernels, name, counted)
     a, b, c = zeta(28, 3) + Fraction(1, 2), zeta(28, 5) * 3, zeta(28, 11)
-    assert calls == {"add": 1, "mul": 1, "addmul": 0}
+    assert calls == {"add": 1, "mul": 1, "addmul": 0, "dot": 0}
     assert a + b == b + a
     assert calls["add"] == 3
     assert a * b == b * a
     assert calls["mul"] == 3
     assert a.addmul(b, c) == a + b * c
-    assert calls == {"add": 4, "mul": 4, "addmul": 1}
+    assert calls == {"add": 4, "mul": 4, "addmul": 1, "dot": 0}
+    assert CycNum.dot([a, b], [c, a]) == a * c + b * a
+    assert calls == {"add": 5, "mul": 6, "addmul": 1, "dot": 1}
+    m = GMatrix([[a, b], [c, a]])
+    m * m
+    assert calls == {"add": 5, "mul": 6, "addmul": 1, "dot": 5}
     assert lgorb.kernel_backend == "pure"

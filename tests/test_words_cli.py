@@ -1,8 +1,12 @@
 import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import lgorb
 from lgorb import cli
 from lgorb.catalog import generator_matrix, word_matrix
 from lgorb.exactnum import CycNum, zeta
@@ -283,3 +287,23 @@ def test_cli_verify_all_is_deterministic(capsys):
     cli.main(["verify", "--all"])
     second = capsys.readouterr().out
     assert first == second
+
+
+def _run_module(*args):
+    """`python -m lgorb ...` in a fresh interpreter, importing this lgorb."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(lgorb.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run(
+        [sys.executable, "-m", "lgorb", *args], env=env, capture_output=True, text=True, timeout=120
+    )
+
+
+def test_python_dash_m_lgorb_runs_the_cli():
+    listed = _run_module("catalog", "list")
+    assert listed.returncode == 0, listed.stderr
+    assert "slf" in listed.stdout and listed.stderr == ""
+    bad = _run_module("compute", "--group", "catalog:zz")
+    assert bad.returncode == cli.EXIT_INPUT == 2
+    assert bad.stdout == ""
+    lines = bad.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
