@@ -7,7 +7,7 @@ therefore structural and hashing is sound.  Rational numbers are the
 conductor-1 case; `fractions.Fraction` is the scalar type throughout.
 
 Arithmetic runs in `lgorb._kernels`.  Sums of products (matrix entries,
-determinant cofactors, polynomial coefficients) go through `CycNum.dot`,
+determinant cofactors, fixed-locus restrictions) go through `CycNum.dot`,
 which reduces and normalizes once per sum instead of once per product; the
 per-conductor reduction rows are kept sparse, so multiplying skips the
 zero coefficients of Phi_n's rows and of the second operand.

@@ -208,23 +208,13 @@ class Poly:
             big, small = self, other
         else:
             big, small = other, self
-        factors: dict[Monomial, tuple[list, list]] = {}
+        terms: dict[Monomial, CycNum] = {}
         for m1, c1 in small.terms.items():
             for m2, c2 in big.terms.items():
                 mon = mon_mul(m1, m2)
-                pair = factors.get(mon)
-                if pair is None:
-                    factors[mon] = ([c1], [c2])
-                else:
-                    pair[0].append(c1)
-                    pair[1].append(c2)
-        dot = CycNum.dot
-        terms: dict[Monomial, CycNum] = {}
-        for mon, (left, right) in factors.items():
-            c = left[0] * right[0] if len(left) == 1 else dot(left, right)
-            if c:
-                terms[mon] = c
-        return self._wrap(terms)
+                acc = terms.get(mon)
+                terms[mon] = c1 * c2 if acc is None else acc.addmul(c1, c2)
+        return self._wrap({m: c for m, c in terms.items() if c})
 
     __rmul__ = __mul__
 
