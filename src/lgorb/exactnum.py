@@ -233,7 +233,10 @@ class CycNum:
         return self + (-other)
 
     def __rsub__(self, other):
-        return (-self) + other
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return other + (-self)
 
     def __mul__(self, other):
         other = self._coerce(other)
@@ -331,8 +334,10 @@ class CycNum:
         return self * other.inverse()
 
     def __rtruediv__(self, other):
-        coerced = self._coerce(other)
-        return coerced * self.inverse()
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return other * self.inverse()
 
     def __pow__(self, k: int):
         if k < 0:

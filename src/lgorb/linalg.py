@@ -2,7 +2,10 @@
 
 Matrices are lists of rows of CycNum.  Pivoting always takes the first
 nonzero entry in column order (no magnitude heuristics are needed with
-exact arithmetic), so every result is deterministic.
+exact arithmetic), so every result is deterministic.  In `rref`, scaling
+the pivot row and clearing its column touch only the pivot row's nonzero
+entries, which start at the pivot column: values are canonical, so adding
+a multiple of zero would leave an entry exactly as it is.
 """
 
 from __future__ import annotations
@@ -28,7 +31,8 @@ def rref(matrix, pivot_columns: int | None = None) -> tuple[list[list[CycNum]], 
     rows = _as_rows(matrix)
     if not rows:
         return [], []
-    ncols = len(rows[0]) if pivot_columns is None else pivot_columns
+    width = len(rows[0])
+    ncols = width if pivot_columns is None else pivot_columns
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
@@ -36,12 +40,16 @@ def rref(matrix, pivot_columns: int | None = None) -> tuple[list[list[CycNum]], 
         if pivot_row is None:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = rows[r][c].inverse()
-        rows[r] = [v * inv for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                factor = -rows[i][c]
-                rows[i] = [a.addmul(factor, b) for a, b in zip(rows[i], rows[r])]
+        prow = rows[r]
+        support = [k for k in range(c, width) if prow[k]]
+        inv = prow[c].inverse()
+        for k in support:
+            prow[k] = prow[k] * inv
+        for i, row in enumerate(rows):
+            if i != r and row[c]:
+                factor = -row[c]
+                for k in support:
+                    row[k] = row[k].addmul(factor, prow[k])
         pivots.append(c)
         r += 1
         if r == len(rows):

@@ -444,7 +444,10 @@ def identity_sector_products(
     Jacobian algebra's monomial basis, and all of them are solved against
     the invariant basis in one elimination (`linalg.solve` with one
     right-hand side per pair).  A product outside the invariant span
-    raises ValueError.
+    raises ValueError.  A pair whose lowest weighted degrees add up to more
+    than the algebra's top degree is the zero vector, with no product and
+    no normal form: the Jacobian ideal is weighted-homogeneous, so normal
+    forms keep degree, and no standard monomial lies above the top degree.
 
     An explicit basis of invariant classes may be supplied (its classes
     must span the invariant subspace); otherwise the computed one is used.
@@ -470,7 +473,13 @@ def identity_sector_products(
         vectors = [algebra.vector(p) for p in basis]
     matrix = [list(row) for row in zip(*vectors)]
     pairs = [(i, j) for i in range(len(basis)) for j in range(i, len(basis))]
-    rhs = [algebra.vector(basis[i] * basis[j]) for i, j in pairs]
+    low = [min(map(weights.weighted_degree, p.terms), default=0) for p in basis]
+    top = algebra.top_degree()
+    zero = (CycNum.zero(algebra.conductor),) * algebra.milnor
+    rhs = [
+        zero if low[i] + low[j] > top else algebra.vector(basis[i] * basis[j])
+        for i, j in pairs
+    ]
     solutions = linalg.solve(matrix, rhs)
     if any(coeffs is None for coeffs in solutions):
         raise ValueError("product left the invariant subspace")

@@ -4,11 +4,21 @@ import pytest
 
 from lgorb import compute_hh, jacobian_algebra
 from lgorb.catalog import catalog_group, klein_quartic
+from lgorb.exactnum import CycNum
+from lgorb.polyring import Poly, WeightSystem
 
 
 @pytest.fixture(scope="session")
 def klein():
     return klein_quartic()
+
+
+@pytest.fixture(scope="session")
+def fermat():
+    """The Fermat quartic x^4 + y^4 + z^4 over Q(zeta_4), standard weights."""
+    one = CycNum.one(4)
+    f = Poly(3, {(4, 0, 0): one, (0, 4, 0): one, (0, 0, 4): one}, 4)
+    return f, WeightSystem((1, 1, 1), 4)
 
 
 @pytest.fixture(scope="session")

@@ -7,7 +7,8 @@ arithmetic, and determinants are expanded by hand.  The route oracles are
 the slower, more direct ways the engine used to compute a result (matrix
 products instead of tables, one elimination per right-hand side, full
 substitutions, Euclid over Fractions, a kernel for every degree block,
-a dense convolution and reduction for every field product);
+a dense convolution and reduction for every field product, row operations
+on every entry);
 the tests check the fast routes against them entry for entry.
 """
 
@@ -199,13 +200,42 @@ def matrix_greedy_generators(elements) -> list[int]:
     return gens
 
 
+def dense_rref(matrix, pivot_columns: int | None = None):
+    """(rows, pivot columns) of the reduced row echelon form, with the same
+    first-nonzero pivoting as linalg.rref: the dense route, which scales
+    every entry of the pivot row and updates every entry of each row it
+    clears, zeros included."""
+    rows = [list(row) for row in matrix]
+    if not rows:
+        return [], []
+    ncols = len(rows[0]) if pivot_columns is None else pivot_columns
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        pivot_row = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        inv = rows[r][c].inverse()
+        rows[r] = [v * inv for v in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                factor = -rows[i][c]
+                rows[i] = [a.addmul(factor, b) for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return rows, pivots
+
+
 def augmented_solve(matrix, rhs) -> list | None:
-    """One solution of A x = b from the rref of the single augmented matrix
-    [A | b], or None when b's column is a pivot (the system is inconsistent).
-    Free unknowns are 0.  This is the one-right-hand-side-at-a-time route
-    to linalg.solve."""
+    """One solution of A x = b from the dense rref of the single augmented
+    matrix [A | b], or None when b's column is a pivot (the system is
+    inconsistent).  Free unknowns are 0.  This is the
+    one-right-hand-side-at-a-time route to linalg.solve."""
     ncols = len(matrix[0])
-    reduced, pivots = linalg.rref([list(row) + [b] for row, b in zip(matrix, rhs)])
+    reduced, pivots = dense_rref([list(row) + [b] for row, b in zip(matrix, rhs)])
     if ncols in pivots:
         return None
     x = [CycNum.zero(matrix[0][0].conductor)] * ncols

@@ -1,3 +1,4 @@
+import operator
 import random
 from fractions import Fraction
 
@@ -160,6 +161,31 @@ def test_pow_and_division():
     assert z**28 == 1
     assert z**-1 == zeta(28, 27)
     assert (3 * z) / (3 * z) == 1
+
+
+@pytest.mark.parametrize("other", [1.5, "x"], ids=["float", "str"])
+def test_reflected_operators_reject_operands_they_cannot_coerce(other, monkeypatch):
+    """`other / z` and `other - z` give Python's standard TypeError, naming
+    the operand's type and CycNum, and never invert z on the way."""
+    z = zeta(28) + 2
+    name = type(other).__name__
+
+    def no_inverse(_self):
+        raise AssertionError("CycNum.inverse called")
+
+    monkeypatch.setattr(CycNum, "inverse", no_inverse)
+    for symbol, op in (("/", operator.truediv), ("-", operator.sub)):
+        message = rf"^unsupported operand type\(s\) for {symbol}: '{name}' and 'CycNum'$"
+        with pytest.raises(TypeError, match=message):
+            op(other, z)
+
+
+def test_reflected_operators_still_coerce_ints_and_fractions():
+    z = zeta(28)
+    assert 1 / z == zeta(28, 27)
+    assert 3 / (2 * z) == zeta(28, 27) * Fraction(3, 2)
+    assert Fraction(1, 2) - z == CycNum.from_coeffs(28, [Fraction(1, 2), -1] + [0] * 10)
+    assert 2 - z == CycNum.from_coeffs(28, [2, -1] + [0] * 10)
 
 
 def test_serialization_roundtrip_big_integers():

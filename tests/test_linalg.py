@@ -7,7 +7,7 @@ from lgorb import linalg
 from lgorb.errors import ShapeError, SingularMatrixError
 from lgorb.exactnum import CycNum, zeta
 
-from oracles import augmented_solve
+from oracles import augmented_solve, dense_rref
 
 
 def _rand_entry(rng, conductor=7):
@@ -28,6 +28,53 @@ def test_rref_and_kernel_convention():
     assert free == [1, 2]
     assert basis[0] == (-two, one, zero)
     assert basis[1] == (-one, zero, one)
+
+
+def _sparse_entry(rng, conductor, density):
+    """Zero with probability 1 - density, else a random field element
+    whose power-basis coefficients are themselves half zero."""
+    if rng.random() >= density:
+        return CycNum.zero(conductor)
+    phi = len(CycNum.zero(conductor).nums)
+    coeffs = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(phi)]
+    coeffs = [c if rng.random() < 0.5 else 0 for c in coeffs]
+    coeffs[rng.randrange(phi)] = Fraction(rng.choice([-2, -1, 1, 2]), rng.randint(1, 3))
+    return CycNum.from_coeffs(conductor, coeffs)
+
+
+@pytest.mark.parametrize("conductor", [1, 7, 28])
+def test_rref_matches_dense_oracle(conductor):
+    """rref, which touches only the pivot row's support, equals the dense
+    elimination entry for entry: sparse and dense matrices, each with a
+    zero row, a zero column and a dependent row, with pivots sought in
+    every column or only in a leading block (as for augmented systems)."""
+    rng = random.Random(900 + conductor)
+    zero = CycNum.zero(conductor)
+    seen_deficient = 0
+    for nrows, ncols in ((1, 1), (1, 4), (2, 3), (3, 3), (4, 6), (5, 4), (6, 8)):
+        for density in (0.25, 0.6, 1.0):
+            matrix = [
+                [_sparse_entry(rng, conductor, density) for _ in range(ncols)]
+                for _ in range(nrows)
+            ]
+            if nrows > 1:
+                matrix[rng.randrange(nrows)] = [zero] * ncols
+            if ncols > 1:
+                j = rng.randrange(ncols)
+                for row in matrix:
+                    row[j] = zero
+            a, b = _sparse_entry(rng, conductor, 1.0), _sparse_entry(rng, conductor, 1.0)
+            matrix.append([a * x + b * y for x, y in zip(matrix[0], matrix[-1])])
+            frozen = [tuple(row) for row in matrix]
+            for pivot_columns in (None, 0, ncols // 2, ncols):
+                rows, pivots = linalg.rref(matrix, pivot_columns)
+                expected_rows, expected_pivots = dense_rref(matrix, pivot_columns)
+                assert pivots == expected_pivots
+                assert rows == expected_rows
+                seen_deficient += len(pivots) < min(len(matrix), ncols)
+            assert [tuple(row) for row in matrix] == frozen
+    assert seen_deficient
+    assert linalg.rref([]) == dense_rref([]) == ([], [])
 
 
 def test_det_agrees_with_leibniz_on_randoms():

@@ -348,13 +348,68 @@ def test_identity_sector_products_unit_law(klein):
         assert list(coeffs) == expected
 
 
-@pytest.mark.parametrize("key, hat", [("b", False), ("c", False), ("e", True), ("j", False)])
-def test_identity_sector_products_match_pairwise_oracle(klein, key, hat):
+def _catalog_products_case(key, hat):
+    def case(klein):
+        f, w = klein
+        return f, catalog_group(key, hat=hat), w, None
+
+    return case
+
+
+def _weighted_products_case(_klein):
+    """x1^2 + x2^4 + x3^4, weights (2, 1, 1; 4), under diag(1, -1, -1):
+    top degree 4, invariants in degrees 0, 2, 2, 2, 4."""
+    one = CycNum.one(28)
+    f = Poly(3, {(2, 0, 0): one, (0, 4, 0): one, (0, 0, 4): one}, 28)
+    group = generate_closure([GMatrix.diagonal([one, -one, -one])])
+    return f, group, WeightSystem((2, 1, 1), 4), None
+
+
+def _inhomogeneous_products_case(klein):
+    """e^'s basis with b0 replaced by b0 + b_top, a class of lowest degree
+    0 and highest degree 6."""
     f, w = klein
-    table = identity_sector_products(f, catalog_group(key, hat=hat), w)
+    group = catalog_group("e", hat=True)
+    basis = list(identity_sector_products(f, group, w).basis)
+    basis[0] = basis[0] + basis[-1]
+    return f, group, w, basis
+
+
+_PRODUCT_CASES = {
+    "b-False": _catalog_products_case("b", False),
+    "c-False": _catalog_products_case("c", False),
+    "e-True": _catalog_products_case("e", True),
+    "j-False": _catalog_products_case("j", False),
+    "weighted": _weighted_products_case,
+    "e-True-inhomogeneous": _inhomogeneous_products_case,
+}
+
+
+@pytest.mark.parametrize("case", list(_PRODUCT_CASES))
+def test_identity_sector_products_match_pairwise_oracle(klein, case):
+    """The one-elimination table, which skips pairs whose lowest degrees
+    add up to more than the top degree, equals one dense solve of a
+    normal-formed product per pair.  A skip keyed to a class's highest
+    degree would zero (b0 + b_top) b_j in the inhomogeneous case."""
+    f, group, w, basis = _PRODUCT_CASES[case](klein)
+    table = identity_sector_products(f, group, w, basis=basis)
     expected = pairwise_product_table(jacobian_algebra(f, w), table.basis)
     assert list(table.products) == list(expected)
     assert table.products == expected
+
+
+def test_fermat_quartic_under_minus_identity(fermat):
+    """x^4 + y^4 + z^4 at conductor 4 under <-I>: Jac(f) = C[x,y,z]/(x^3,
+    y^3, z^3) has Hilbert series (1 + t + t^2)^3 = (1,3,6,7,6,3,1), -I keeps
+    the even degrees, and the -I sector (a point) adds nothing."""
+    f, w = fermat
+    minus = CycNum.from_rational(-1, 4)
+    group = generate_closure([GMatrix.diagonal([minus] * 3)])
+    report = compute_hh(f, group, w)
+    assert report.total_dim == 14
+    assert report.identity_dimension_vector == (1, 0, 6, 0, 6, 0, 1)
+    table = identity_sector_products(f, group, w)
+    assert table.products == pairwise_product_table(jacobian_algebra(f, w), table.basis)
 
 
 def test_degree_blocks_rejects_mixed_degrees():
