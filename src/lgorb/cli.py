@@ -187,15 +187,17 @@ def _write_out(text: str, out: Optional[str]):
         sys.stdout.write(text)
         return
     directory = os.path.dirname(os.path.abspath(out))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".lgorb-out-")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        os.replace(tmp, out)
-    except BaseException:
-        if os.path.exists(tmp):
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".lgorb-out-")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as handle:
+                handle.write(text)
+            os.replace(tmp, out)
+        except BaseException:
             os.unlink(tmp)
-        raise
+            raise
+    except OSError as exc:
+        raise InputError(f"cannot write output file: {exc.strerror}: {out!r}") from exc
 
 
 def _cmd_catalog_list(_args) -> int:

@@ -12,6 +12,14 @@ which reduces and normalizes once per sum instead of once per product; the
 per-conductor reduction rows are kept sparse, so multiplying skips the
 zero coefficients of Phi_n's rows and of the second operand.
 
+Inverses work in the value's own subfield.  When p^2 divides n,
+Phi_n(x) = Phi_(n/p)(x^p), so a value of Q(zeta_n) whose nonzero
+coefficients all sit at indices divisible by p is the `lift` of
+nums[::p] from Q(zeta_(n/p)).  `CycNum.inverse` descends while some p
+allows it, eliminates there and spreads the result back: every catalog
+value lies in Q(zeta_14) = Q(zeta_7), where the elimination is 6 x 6
+instead of 12 x 12 at conductor 28.
+
 All values are immutable and every operation is a pure function, so
 instances can be shared freely across threads.
 """
@@ -20,7 +28,7 @@ from __future__ import annotations
 
 import cmath
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 from lgorb import _kernels
 from lgorb.errors import ConductorMismatchError, ShapeError
@@ -122,6 +130,61 @@ def _field(n: int) -> _Field:
         f = _Field(n)
         _FIELDS[n] = f
     return f
+
+
+def _subfield(n: int, nums: tuple[int, ...]) -> tuple[int, tuple[int, ...], int]:
+    """The smallest conductor m the value visibly descends to, its
+    numerators there and the stride n / m.
+
+    When p^2 divides n, Phi_n(x) = Phi_(n/p)(x^p) and phi(n) = p phi(n/p),
+    so a value whose nonzero coefficients all sit at indices divisible by
+    p is the `lift` of nums[::p] from Q(zeta_(n/p)); the step repeats while
+    some p allows it."""
+    stride = 1
+    while True:
+        p = next(
+            (
+                p
+                for p in range(2, isqrt(n) + 1)
+                if n % (p * p) == 0 and not any(any(nums[r::p]) for r in range(1, p))
+            ),
+            None,
+        )
+        if p is None:
+            return n, nums, stride
+        n, nums, stride = n // p, nums[::p], stride * p
+
+
+def _bareiss_inverse(n: int, nums) -> tuple[list[int], int]:
+    """(det(M) x, det(M)) for the inverse x of the nonzero integer-vector
+    value nums of Q(zeta_n); see `CycNum.inverse`."""
+    field = _field(n)
+    phi, base = field.phi, field.rows[0]
+    columns = [list(nums)]
+    for _ in range(phi - 1):
+        prev = columns[-1]
+        top = prev[-1]
+        col = [0] + prev[:-1]
+        if top:
+            col = [c + top * b for c, b in zip(col, base)]
+        columns.append(col)
+    aug = [[col[r] for col in columns] + [int(r == 0)] for r in range(phi)]
+    prev_pivot = 1
+    for k in range(phi):
+        if not aug[k][k]:
+            swap = next(i for i in range(k + 1, phi) if aug[i][k])
+            aug[k], aug[swap] = aug[swap], aug[k]
+        pivot = aug[k][k]
+        tail = aug[k][k + 1 :]
+        for i in range(phi):
+            if i != k:
+                row = aug[i]
+                factor = row[k]
+                row[k + 1 :] = [
+                    (pivot * v - factor * p) // prev_pivot for v, p in zip(row[k + 1 :], tail)
+                ]
+        prev_pivot = pivot
+    return [row[phi] for row in aug], prev_pivot
 
 
 class CycNum:
@@ -280,14 +343,16 @@ class CycNum:
         return CycNum(n, nums, den, _canonical=True)
 
     def inverse(self) -> "CycNum":
-        """Multiplicative inverse by fraction-free integer elimination (with
-        fast paths for rationals and for rational multiples of basis powers).
+        """Multiplicative inverse: fast paths for rationals and for rational
+        multiples of basis powers, otherwise fraction-free integer
+        elimination in the smallest subfield Q(zeta_m) the value visibly
+        lies in (`_subfield`), spread back to the power basis of Q(zeta_n).
 
-        Writing self = N/den, the coefficients x of 1/N solve M x = e_0,
-        where column j of M is N zeta^j over the power basis.  Bareiss
-        elimination of [M | e_0] keeps every entry an integer minor and ends
-        with det(M) on the diagonal and det(M) x in the last column, so the
-        inverse is den * (det(M) x) / det(M), divided exactly."""
+        Writing the value as N/den, the coefficients x of 1/N solve
+        M x = e_0, where column j of M is N zeta^j over the power basis.
+        Bareiss elimination of [M | e_0] keeps every entry an integer minor
+        and ends with det(M) on the diagonal and det(M) x in the last
+        column, so the inverse is den * (det(M) x) / det(M)."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
         if self.is_rational():
@@ -298,34 +363,11 @@ class CycNum:
             k = support[0]
             scalar = Fraction(self.den, self.nums[k])
             return zeta(self.conductor, self.conductor - k) * scalar
-        field = _field(self.conductor)
-        phi, base = field.phi, field.rows[0]
-        columns = [list(self.nums)]
-        for _ in range(phi - 1):
-            prev = columns[-1]
-            top = prev[-1]
-            col = [0] + prev[:-1]
-            if top:
-                col = [c + top * b for c, b in zip(col, base)]
-            columns.append(col)
-        aug = [[col[r] for col in columns] + [int(r == 0)] for r in range(phi)]
-        prev_pivot = 1
-        for k in range(phi):
-            if not aug[k][k]:
-                swap = next(i for i in range(k + 1, phi) if aug[i][k])
-                aug[k], aug[swap] = aug[swap], aug[k]
-            pivot = aug[k][k]
-            tail = aug[k][k + 1 :]
-            for i in range(phi):
-                if i != k:
-                    row = aug[i]
-                    factor = row[k]
-                    row[k + 1 :] = [
-                        (pivot * v - factor * p) // prev_pivot
-                        for v, p in zip(row[k + 1 :], tail)
-                    ]
-            prev_pivot = pivot
-        return CycNum(self.conductor, [row[phi] * self.den for row in aug], prev_pivot)
+        m, sub, stride = _subfield(self.conductor, self.nums)
+        solution, det = _bareiss_inverse(m, sub)
+        nums = [0] * len(self.nums)
+        nums[::stride] = [v * self.den for v in solution]
+        return CycNum(self.conductor, nums, det)
 
     def __truediv__(self, other):
         other = self._coerce(other)

@@ -5,7 +5,8 @@ nonzero entry in column order (no magnitude heuristics are needed with
 exact arithmetic), so every result is deterministic.  In `rref`, scaling
 the pivot row and clearing its column touch only the pivot row's nonzero
 entries, which start at the pivot column: values are canonical, so adding
-a multiple of zero would leave an entry exactly as it is.
+a multiple of zero would leave an entry exactly as it is.  The row updates
+of `kernel_form_basis` skip zero entries of the row they add the same way.
 """
 
 from __future__ import annotations
@@ -107,7 +108,7 @@ def kernel_form_basis(vectors: Iterable[Vector], stop: int | None = None) -> lis
         for p, row in rows.items():
             if v[p]:
                 factor = -v[p]
-                v = [a.addmul(factor, b) for a, b in zip(v, row)]
+                v = [a.addmul(factor, b) if b else a for a, b in zip(v, row)]
         p = next((i for i, x in enumerate(v) if x), None)
         if p is None:
             continue
@@ -116,7 +117,7 @@ def kernel_form_basis(vectors: Iterable[Vector], stop: int | None = None) -> lis
         for q, row in rows.items():
             if row[p]:
                 factor = -row[p]
-                rows[q] = [a.addmul(factor, b) for a, b in zip(row, v)]
+                rows[q] = [a.addmul(factor, b) if b else a for a, b in zip(row, v)]
         rows[p] = v
         if len(rows) == stop:
             break

@@ -91,13 +91,38 @@ class GMatrix:
         )
 
     def __mul__(self, other: "GMatrix") -> "GMatrix":
+        """The product, each entry summed over its nonzero terms only: no
+        term gives zero, one term a single product (or the other factor
+        itself when one factor is 1), more terms one fused `CycNum.dot`.
+        Values are canonical, so every entry equals the dense sum exactly;
+        products by permutation, diagonal and monomial matrices cost no
+        field arithmetic beyond their nonzero entries."""
         if not isinstance(other, GMatrix):
             return NotImplemented
         if self.n != other.n or self.conductor != other.conductor:
             raise ShapeError("incompatible matrices")
-        cols = list(zip(*other.rows))
+        cols = [[(k, b) for k, b in enumerate(col) if b] for col in zip(*other.rows)]
+        zero = CycNum.zero(self.conductor)
         dot = CycNum.dot
-        return GMatrix([[dot(row, col) for col in cols] for row in self.rows])
+        out = []
+        for row in self.rows:
+            entries = []
+            for col in cols:
+                left, right = [], []
+                for k, b in col:
+                    a = row[k]
+                    if a:
+                        left.append(a)
+                        right.append(b)
+                if not left:
+                    entries.append(zero)
+                elif len(left) > 1:
+                    entries.append(dot(left, right))
+                else:
+                    a, b = left[0], right[0]
+                    entries.append(b if a.is_one() else a if b.is_one() else a * b)
+            out.append(entries)
+        return GMatrix(out)
 
     def __neg__(self) -> "GMatrix":
         return GMatrix([[-e for e in row] for row in self.rows])

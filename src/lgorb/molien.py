@@ -19,10 +19,19 @@ chi_B(t) = det(t - B), det(1 - t B) is chi_B with its coefficients
 reversed, and rho det(1 - t A) = det(h) (-1)^k chi_B(t) for k = dim Fix(g),
 because rho = det(h) det(B); the same holds block by block.  The
 denominator has constant term 1, so the series division is exact.
+
+The trace therefore depends on h only through det(h) and the
+characteristic polynomial of each weight block of B, and the series is
+memoized once per process (`_trace_series`, `functools.lru_cache`) by
+(det h, ((w, chi_w), ...), total weight, top degree): across the catalog
+a few dozen keys cover hundreds of traces.  The weight check runs before
+the lookup, exceptions are never cached, and the memo grows with the
+number of distinct keys a process meets.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations
 from typing import Sequence
 
@@ -70,36 +79,55 @@ def _times_sparse(series: list[CycNum], terms: dict[int, CycNum]) -> list[CycNum
     return out
 
 
-def _graded_trace(det_h: CycNum, binv, weights: Sequence[int], total: int, top: int) -> list:
+def _graded_trace(det_h: CycNum, binv, weights: Sequence[int], total: int, top: int) -> tuple:
     """Coefficients 0..top of the graded trace of h on a sector, given
     det(h) and B = h^-1|Fix(g) in sector coordinates of the given weights.
 
-    B must preserve the weight spaces (GradingError otherwise)."""
+    B must preserve the weight spaces (GradingError otherwise); that check
+    runs on every call, before the memo of `_trace_series` is consulted."""
     k = len(binv)
-    zero, one = CycNum.zero(det_h.conductor), CycNum.one(det_h.conductor)
-    num = [det_h if k % 2 == 0 else -det_h] + [zero] * top
-    den = [one] + [zero] * top
-    blocks: dict[int, list[int]] = {}
-    for r in range(k):
-        blocks.setdefault(weights[r], []).append(r)
     for r in range(k):
         if any(v and weights[c] != weights[r] for c, v in enumerate(binv[r])):
             raise GradingError(
                 "a centralizing element mixes sector coordinates of different weights"
             )
-    for w, idx in blocks.items():
-        chi = _charpoly([[binv[r][c] for c in idx] for r in idx])
-        m = len(idx)
+    blocks: dict[int, list[int]] = {}
+    for r in range(k):
+        blocks.setdefault(weights[r], []).append(r)
+    charpolys = tuple(
+        (w, tuple(_charpoly([[binv[r][c] for c in idx] for r in idx])))
+        for w, idx in blocks.items()
+    )
+    return _trace_series(det_h, charpolys, total, top)
+
+
+@lru_cache(maxsize=None)
+def _trace_series(det_h: CycNum, charpolys: tuple, total: int, top: int) -> tuple:
+    """The series part of `_graded_trace`: it depends on h only through
+    det(h) and the characteristic polynomial of each weight-w block of B,
+    given as ((w, chi_w), ...).
+
+    Memoized per process by (det h, ((w, chi_w), ...), total, top), all
+    compared by value, so elements of equal determinant and block
+    characteristic polynomials, in any sector of any group, share one
+    series.  Memory grows with the number of distinct keys seen."""
+    conductor = det_h.conductor
+    k = sum(len(chi) - 1 for _, chi in charpolys)
+    zero, one = CycNum.zero(conductor), CycNum.one(conductor)
+    num = [det_h if k % 2 == 0 else -det_h] + [zero] * top
+    den = [one] + [zero] * top
+    for w, chi in charpolys:
+        m = len(chi) - 1
         num = _times_sparse(num, {(total - w) * (m - i): v for i, v in enumerate(chi)})
         den = _times_sparse(den, {w * i: v for i, v in enumerate(chi)})
     trace: list[CycNum] = []
     for n in range(top + 1):
         v = num[n]
         for i in range(1, n + 1):
-            if den[i]:
+            if den[i] and trace[n - i]:
                 v = v.addmul(-den[i], trace[n - i])
         trace.append(v)
-    return trace
+    return tuple(trace)
 
 
 def _centralizer_classes(group, inverse, centralizer: Sequence[int], zgens: Sequence[int]) -> list:
@@ -142,7 +170,7 @@ def invariant_degree_dims(
         binv = restriction_matrix(group.elements[inverse[rep]], sector)
         trace = _graded_trace(h.det, binv, weights.weights, weights.total, top)
         scale = CycNum.from_rational(size, algebra.conductor)
-        sums = [s.addmul(scale, t) for s, t in zip(sums, trace)]
+        sums = [s.addmul(scale, t) if t else s for s, t in zip(sums, trace)]
     dims = []
     for n, s in enumerate(sums):
         q = s.as_rational() / len(centralizer) if s.is_rational() else None

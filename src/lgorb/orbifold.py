@@ -30,11 +30,22 @@ images of the standard monomials are built in basis order, and only up
 to the highest degree block needed, each from the reduced image of a
 monomial one degree lower times one substituted linear form, so every
 product that gets reduced is already small.
+
+Element-level results are memoized once per process, like the Jacobian
+algebras of `lgorb.jacobian`: `_build_sector` by (f, g, weights) and the
+generator symmetry check `_preserves` by (f, g), all compared by value,
+with `functools.lru_cache`.  Every catalog group is a subgroup of the
+order-336 group, so class representatives and generators recur across
+groups.  Exceptions are never cached (a failing check raises again), and
+the memos grow with the number of distinct elements a process meets.
+Per-class actions (`_DegreeAction`) are not memoized: their monomial
+images are the largest per-element data.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Sequence
 
 from lgorb import linalg
@@ -88,12 +99,19 @@ def build_sector(f: Poly, g: GMatrix, weights: Optional[WeightSystem] = None) ->
     return _build_sector(f, g, weights)
 
 
+@lru_cache(maxsize=None)
 def _build_sector(f: Poly, g: GMatrix, weights: Optional[WeightSystem]) -> Sector:
     """`build_sector` for a g already known to preserve f.
 
     Sector coordinate c is the fix-basis column with its identity entry at
     row free_rows[c], so it carries that row's weight; a column mixing rows
-    of different weights admits no such grading (GradingError)."""
+    of different weights admits no such grading (GradingError).
+
+    Memoized per process by (f, g, weights), all compared by value: a
+    sector is a pure function of them, so a class representative met again
+    (in another group, or the same group built anew) reuses its sector.
+    Exceptions are not cached, and memory grows with the number of
+    distinct triples seen."""
     basis, free_rows = fixed_space(g)
     restricted = restrict_to_subspace(f, basis)
     if basis:
@@ -367,9 +385,24 @@ def _products(algebra: JacobianAlgebra, by_degree: list[list[Poly]], b: int, rng
                 yield algebra.vector(low * high)[rng.start : rng.stop]
 
 
+@lru_cache(maxsize=None)
+def _preserves(f: Poly, g: GMatrix) -> bool:
+    """True if g preserves f; raises NotASymmetryError otherwise.
+
+    Memoized per process by (f, g) compared by value.  Only the True of a
+    passing pair is stored: a failing pair raises, and exceptions are not
+    cached, so it is checked again every time.  Memory grows with the
+    number of distinct pairs seen."""
+    if substitute_linear(f, g.rows) != f:
+        raise NotASymmetryError("a generator does not preserve the polynomial")
+    return True
+
+
 def _validate_group(f: Poly, group: FiniteMatrixGroup):
     """Generator checks suffice: det is a homomorphism, {1, -1} a subgroup,
-    and the generators generate the group (FiniteMatrixGroup enforces it)."""
+    and the generators generate the group (FiniteMatrixGroup enforces it).
+    Every generator is checked; `_preserves` answers a pair it has already
+    passed from its memo."""
     one = CycNum.one(group.conductor)
     for i in group.generator_indices:
         d = group.elements[i].det
@@ -379,8 +412,7 @@ def _validate_group(f: Poly, group: FiniteMatrixGroup):
                 f"generator {name} has determinant {d}, not +/-1"
             )
     for g in group.generators:
-        if substitute_linear(f, g.rows) != f:
-            raise NotASymmetryError("a generator does not preserve the polynomial")
+        _preserves(f, g)
 
 
 def compute_hh(

@@ -8,7 +8,8 @@ the slower, more direct ways the engine used to compute a result (matrix
 products instead of tables, one elimination per right-hand side, full
 substitutions, Euclid over Fractions, a kernel for every degree block,
 a dense convolution and reduction for every field product, row operations
-on every entry);
+on every entry, a full-conductor elimination for every field inverse, every
+term of every matrix entry);
 the tests check the fast routes against them entry for entry.
 """
 
@@ -344,6 +345,50 @@ def euclid_inverse(a: CycNum) -> CycNum:
     mod = [Fraction(c) for c in cyclotomic_polynomial(a.conductor)]
     inv = poly_invmod([Fraction(v, a.den) for v in a.nums], mod)
     return CycNum.from_coeffs(a.conductor, inv + [Fraction(0)] * (len(a.nums) - len(inv)))
+
+
+def bareiss_inverse(a: CycNum) -> CycNum:
+    """Inverse of a nonzero field element by fraction-free Bareiss
+    elimination of the full phi(n) x phi(n) multiplication matrix at its own
+    conductor, with no fast path and no descent to a subfield (the route to
+    CycNum.inverse before it learned to work in the value's subfield).
+
+    Column j of M is N zeta^j over the power basis, N = a * den; Bareiss on
+    [M | e_0] ends with det(M) on the diagonal and det(M) x in the last
+    column, so 1/a = den * (det(M) x) / det(M)."""
+    cyc = cyclotomic_polynomial(a.conductor)
+    phi = len(cyc) - 1
+    base = [-c for c in cyc[:phi]]
+    columns = [list(a.nums)]
+    for _ in range(phi - 1):
+        prev = columns[-1]
+        col = [0] + prev[:-1]
+        columns.append([c + prev[-1] * b for c, b in zip(col, base)])
+    aug = [[col[r] for col in columns] + [int(r == 0)] for r in range(phi)]
+    prev_pivot = 1
+    for k in range(phi):
+        if not aug[k][k]:
+            swap = next(i for i in range(k + 1, phi) if aug[i][k])
+            aug[k], aug[swap] = aug[swap], aug[k]
+        pivot = aug[k][k]
+        tail = aug[k][k + 1 :]
+        for i in range(phi):
+            if i != k:
+                row = aug[i]
+                factor = row[k]
+                row[k + 1 :] = [
+                    (pivot * v - factor * p) // prev_pivot for v, p in zip(row[k + 1 :], tail)
+                ]
+        prev_pivot = pivot
+    return CycNum(a.conductor, [row[phi] * a.den for row in aug], prev_pivot)
+
+
+def dense_matmul(a_rows, b_rows) -> tuple[tuple[CycNum, ...], ...]:
+    """Matrix product with every entry the fused `CycNum.dot` over all n
+    terms, zeros included (the route to GMatrix.__mul__ that skips no
+    term)."""
+    cols = list(zip(*b_rows))
+    return tuple(tuple(CycNum.dot(row, col) for col in cols) for row in a_rows)
 
 
 def dense_rows(n: int) -> list[list[int]]:

@@ -6,8 +6,9 @@ import pytest
 
 from lgorb import _kernels
 from lgorb.errors import ConductorMismatchError, ShapeError
-from lgorb.exactnum import CycNum, _field, cyclotomic_polynomial, euler_phi, zeta
+from lgorb.exactnum import CycNum, _field, _subfield, cyclotomic_polynomial, euler_phi, zeta
 from oracles import (
+    bareiss_inverse,
     dense_dot,
     dense_mul_nums,
     dense_rows,
@@ -133,6 +134,33 @@ def test_inverse_matches_euclid_oracle(conductor):
         assert a * inv == 1
     with pytest.raises(ZeroDivisionError):
         CycNum.zero(conductor).inverse()
+
+
+@pytest.mark.parametrize("conductor", [4, 8, 9, 12, 16, 28, 72, 84])
+def test_inverse_matches_bareiss_oracle(conductor):
+    """Values lifted from every proper subfield Q(zeta_m), general values
+    and single-term values: the inverse equals the full-conductor
+    elimination, and the values that lie in a smaller subfield do reach it
+    through `_subfield`, in two or more steps at 16 and 72."""
+    rng = random.Random(5100 + conductor)
+    lifted = []
+    for m in range(2, conductor):
+        if conductor % m == 0:
+            for _ in range(4):
+                lifted.append(_random_cyc(rng, m).lift(conductor))
+    general = [_random_cyc(rng, conductor) for _ in range(8)]
+    phi = euler_phi(conductor)
+    single = [
+        CycNum(conductor, [rng.randint(1, 9) if i == k else 0 for i in range(phi)], rng.randint(1, 5))
+        for k in range(1, phi)
+    ]
+    strides = {_subfield(conductor, x.nums)[2] for x in lifted if not x.is_rational()}
+    assert max(strides, default=1) == {4: 1, 8: 2, 9: 3, 12: 2, 16: 4, 28: 2, 72: 12, 84: 2}[conductor]
+    for x in lifted + general + single:
+        if x:
+            inv = x.inverse()
+            assert inv == bareiss_inverse(x)
+            assert x * inv == 1
 
 
 def test_reduction_idempotence():

@@ -321,3 +321,39 @@ def test_hat_extend_matches_closure_with_minus_identity(key):
     assert hat.words == closed.words
     assert hat.generator_indices == closed.generator_indices
     assert hat.generator_tables == closed.generator_tables
+
+
+def _shape_family(rng, n, conductor):
+    """Permutation, diagonal, signed-monomial and dense matrices over
+    Q(zeta_conductor), with entries 1 and -1 among the general ones."""
+    one, zero = CycNum.one(conductor), CycNum.zero(conductor)
+
+    def entry():
+        return rng.choice([one, -one, zeta(conductor, rng.randrange(conductor)) * rng.randint(1, 3)])
+
+    def monomial(values):
+        perm = list(range(n))
+        rng.shuffle(perm)
+        return GMatrix([[values[i] if j == perm[i] else zero for j in range(n)] for i in range(n)])
+
+    family = [GMatrix.identity(n, conductor)]
+    for _ in range(2):
+        family.append(monomial([one] * n))
+        family.append(GMatrix.diagonal([entry() for _ in range(n)]))
+        family.append(monomial([rng.choice([one, -one]) * entry() for _ in range(n)]))
+        family.append(GMatrix([[entry() + rng.randint(0, 2) for _ in range(n)] for _ in range(n)]))
+    return family
+
+
+@pytest.mark.parametrize("conductor", [7, 28])
+def test_gmatrix_products_match_dense_dot_oracle(conductor):
+    """Every entry of a product equals the dot over all terms, zeros
+    included, for every pair of shapes, and so does the product's hash."""
+    rng = random.Random(6600 + conductor)
+    family = _shape_family(rng, 3, conductor)
+    for a in family:
+        for b in family:
+            product = a * b
+            expected = oracles.dense_matmul(a.rows, b.rows)
+            assert product.rows == expected
+            assert hash(product) == hash(GMatrix(expected))

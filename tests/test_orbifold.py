@@ -1,8 +1,9 @@
+import json
 import random
 
 import pytest
 
-from lgorb import linalg
+from lgorb import linalg, molien, orbifold
 from lgorb.catalog import catalog_group, generator_matrix, word_matrix
 from lgorb.errors import (
     CharacterError,
@@ -11,7 +12,7 @@ from lgorb.errors import (
     NotASymmetryError,
     ShapeError,
 )
-from lgorb.exactnum import CycNum
+from lgorb.exactnum import CycNum, zeta
 from lgorb.jacobian import jacobian_algebra
 from lgorb.matgroup import GMatrix, generate_closure, from_elements
 from lgorb.orbifold import (
@@ -437,7 +438,6 @@ def test_degree_blocks_rejects_mixed_degrees():
 def test_report_json_roundtrip(klein):
     f, w = klein
     report = compute_hh(f, catalog_group("e"), w)
-    import json
 
     data = json.loads(json.dumps(report.to_dict()))
     assert HHReport.from_dict(data) == report
@@ -460,7 +460,6 @@ def test_report_bytes_are_pinned(klein, hh, key, how):
     kernel-per-degree-block engine; any change of basis, order or
     coefficient shows here.  `how` is the hat flag or a conjugator seed."""
     import hashlib
-    import json
 
     group = catalog_group(key, hat=how) if isinstance(how, bool) else _dense_conjugate(key, how)
     blob = json.dumps(hh.report(group).to_dict(), sort_keys=True).encode()
@@ -468,8 +467,6 @@ def test_report_bytes_are_pinned(klein, hh, key, how):
 
 
 def test_repeated_computation_is_deterministic(klein):
-    import json
-
     f, w = klein
     words = ["RS^3", "RS^2RS"]
     gens = [word_matrix(word) for word in words]
@@ -588,8 +585,6 @@ def test_kernel_dimension_must_match_the_characters(klein, monkeypatch):
     """A block whose predicted dimension no kernel confirms raises: one
     invariant too many in degree 2 of catalog d's identity sector, where
     products of invariants fall short and the kernel is taken."""
-    import lgorb.orbifold as orbifold
-
     f, w = klein
     group = catalog_group("d")
     honest = orbifold.invariant_degree_dims
@@ -604,3 +599,66 @@ def test_kernel_dimension_must_match_the_characters(klein, monkeypatch):
     message = "^degree 2: the invariant kernel has dimension 4, the character average 5$"
     with pytest.raises(CharacterError, match=message):
         compute_hh(f, group, w)
+
+
+_MEMOS = ("orbifold._build_sector", "orbifold._preserves", "molien._trace_series")
+
+
+def _memo(name):
+    module, attr = name.split(".")
+    return getattr({"orbifold": orbifold, "molien": molien}[module], attr)
+
+
+@pytest.mark.parametrize("memo", _MEMOS)
+@pytest.mark.parametrize("how", ["e^", "e@301"])
+def test_reports_do_not_depend_on_the_memos(klein, memo, how):
+    """A report computed with the memo cleared, with it warm, and with it
+    cleared again is the same report, byte for byte."""
+    f, w = klein
+    group = catalog_group("e", hat=True) if how == "e^" else _dense_conjugate("e", 301)
+    blobs, hits = [], []
+    for clear in (True, False, True):
+        if clear:
+            _memo(memo).cache_clear()
+        blobs.append(json.dumps(compute_hh(f, group, w).to_dict(), sort_keys=True))
+        hits.append(_memo(memo).cache_info().hits)
+    assert blobs[0] == blobs[1] == blobs[2]
+    assert hits[1] > hits[0]
+
+
+def test_memos_cache_no_exceptions(klein):
+    """A call that raises raises again when repeated, and a failing
+    symmetry check is never stored."""
+    one, zero = CycNum.one(28), CycNum.zero(28)
+    f = Poly(3, {(2, 0, 0): one, (0, 4, 0): one, (0, 0, 4): one}, 28)
+    swap = GMatrix([[zero, one, zero], [one, zero, zero], [zero, zero, one]])
+    weights = WeightSystem((2, 1, 1), 4)
+    mixing = ((zero, one), (one, zero))
+    for _ in range(2):
+        with pytest.raises(GradingError, match="^the fixed locus is not spanned"):
+            _build_sector(f, swap, weights)
+        with pytest.raises(GradingError, match="^a centralizing element mixes sector coordinates"):
+            molien._graded_trace(one, mixing, (2, 1), 4, 4)
+    klein_f, _ = klein
+    stored = orbifold._preserves.cache_info().currsize
+    for _ in range(2):
+        with pytest.raises(NotASymmetryError):
+            orbifold._preserves(klein_f, GMatrix.diagonal([one, one, -one]))
+    assert orbifold._preserves.cache_info().currsize == stored
+
+
+def test_trace_memo_keeps_the_weights():
+    """One 1 x 1 block B = (b) with det h = 1 and total weight 4: the trace
+    is (b - s^(4-w)) / (1 - b s^w), so weights 1 and 2 give different
+    series from the same characteristic polynomial t - b."""
+    zero, one, b = CycNum.zero(28), CycNum.one(28), zeta(28, 4)
+    expected = {
+        1: (b, b**2, b**3, b**4 - one, b**5 - b),
+        2: (b, zero, b**2 - one, zero, b**3 - b),
+    }
+    for order in ((1, 2), (2, 1)):
+        molien._trace_series.cache_clear()
+        for w in order:
+            assert molien._graded_trace(one, ((b,),), (w,), 4, 4) == expected[w]
+        for w in order:
+            assert molien._graded_trace(one, ((b,),), (w,), 4, 4) == expected[w]

@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import random
@@ -91,6 +92,21 @@ def test_cli_compute_csv_and_out_file(tmp_path, capsys):
     assert lines[-1].rstrip().endswith("9")
     # one row per class plus header and summary
     assert len(lines) == 1 + 7 + 1
+
+
+@pytest.mark.parametrize("target", ["missing-directory", "existing-directory"])
+def test_cli_unwritable_out_path_exit_2(tmp_path, capsys, target):
+    """An output path that cannot be written is one exit-2 error line, with
+    no traceback and no temporary file left behind."""
+    if target == "missing-directory":
+        out, reason = tmp_path / "missing" / "x.json", os.strerror(errno.ENOENT)
+    else:
+        out, reason = tmp_path, os.strerror(errno.EISDIR)
+    assert cli.main(["compute", "--group", "catalog:e", "--out", str(out)]) == cli.EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.err == f"error: cannot write output file: {reason}: {str(out)!r}\n"
+    assert captured.out == ""
+    assert os.listdir(tmp_path) == []
 
 
 def test_cli_compute_file_group(tmp_path, capsys):
