@@ -78,23 +78,38 @@ def _load_group_file(path: str) -> tuple[FiniteMatrixGroup, bool]:
             raise InputError(str(exc)) from exc
         group = generate_closure(gens, words=[str(parse_word(w)) for w in words])
     elif matrices:
+        _check_entry_conductors(matrices, conductor)
         try:
             gens = [GMatrix.from_lists(m) for m in matrices]
-        except (LgorbError, ValueError, KeyError, TypeError) as exc:
+        except (LgorbError, ValueError, KeyError, TypeError, OverflowError) as exc:
             raise InputError(f"bad matrix data: {exc}") from exc
         if any(g.n != gens[0].n for g in gens):
             raise InputError("matrices must share one dimension")
-        for g in gens:
-            if conductor % g.conductor:
-                raise InputError(
-                    f"matrix conductor {g.conductor} does not divide "
-                    f"the polynomial's conductor {conductor}"
-                )
         gens = [GMatrix([[e.lift(conductor) for e in row] for row in g.rows]) for g in gens]
         group = generate_closure(gens)
     else:
         raise InputError("group file needs 'generators' (words) or 'matrices'")
     return group, hat
+
+
+def _check_entry_conductors(matrices: list, conductor: int) -> None:
+    """Reject an entry whose conductor does not divide the polynomial's
+    before any field is built, since building a field costs time that
+    grows with its conductor.  The conductor is read as `CycNum.from_dict`
+    reads it; an entry where that fails is left to `GMatrix.from_lists`,
+    which reports it as bad matrix data."""
+    for matrix in matrices:
+        for row in matrix if isinstance(matrix, list) else ():
+            for entry in row if isinstance(row, list) else ():
+                try:
+                    stated = int(entry["conductor"])
+                except (LookupError, TypeError, ValueError, OverflowError):
+                    continue
+                if stated > 0 and conductor % stated:
+                    raise InputError(
+                        f"matrix conductor {stated} does not divide "
+                        f"the polynomial's conductor {conductor}"
+                    )
 
 
 def _resolve_group(spec: str, hat_flag: bool) -> tuple[FiniteMatrixGroup, str]:

@@ -33,8 +33,6 @@ class GroebnerBasis:
 
     __slots__ = ("arity", "conductor", "generators", "leading")
 
-    order = "grevlex"
-
     def __init__(self, generators: list[Poly]):
         gens = sorted(
             (g for g in generators if g),
@@ -212,7 +210,6 @@ class JacobianAlgebra:
         "graded_dims",
         "milnor",
         "hessian_class",
-        "top_monomial",
     )
 
     def __init__(self, source, weights, gb, basis, graded_dims, hessian_class):
@@ -224,7 +221,6 @@ class JacobianAlgebra:
         self.graded_dims = tuple(graded_dims)
         self.milnor = len(self.basis)
         self.hessian_class = tuple(hessian_class)
-        self.top_monomial = self.basis[-1] if self.basis else None
 
     @property
     def arity(self) -> int:

@@ -206,22 +206,3 @@ def solve(matrix, rhs_columns: Sequence[Sequence[CycNum]]) -> list[list[CycNum] 
             x[c] = reduced[i][k]
         out.append(x)
     return out
-
-
-def column_space_basis(columns: Sequence[Vector]) -> list[Vector]:
-    """Deterministic basis of the span: the pivot columns of (columns)."""
-    if not columns:
-        return []
-    rows = [list(row) for row in zip(*columns)]
-    _, pivots = rref(rows)
-    return [columns[j] for j in pivots]
-
-
-def in_span(columns: Sequence[Vector], vec: Vector) -> bool:
-    """True iff vec lies in the span of the given columns."""
-    if not any(vec):
-        return True
-    if not columns:
-        return False
-    matrix = [list(row) for row in zip(*columns)]
-    return solve(matrix, [list(vec)])[0] is not None

@@ -208,16 +208,6 @@ class ConjugacyData:
         self.classes = tuple((rep, tuple(sorted(members))) for rep, members in classes)
         self.centralizers = {rep: tuple(sorted(z)) for rep, z in centralizers.items()}
 
-    @property
-    def representatives(self) -> tuple[int, ...]:
-        return tuple(rep for rep, _ in self.classes)
-
-    def class_of(self, index: int) -> tuple[int, ...]:
-        for rep, members in self.classes:
-            if index in members:
-                return members
-        raise KeyError(index)
-
 
 class FiniteMatrixGroup:
     """An explicitly enumerated finite group of invertible matrices.
@@ -342,30 +332,39 @@ class FiniteMatrixGroup:
 
     def conjugacy(self) -> ConjugacyData:
         if self._conjugacy is None:
-            right = self._right_tables()
-            inv = self.inverse_index()
-            # j -> g j g^-1 for each generator g, as an index map
-            conjugations = [
-                [right[inv[g]][right[j][g]] for j in range(self.order)]
-                for g in self.generator_indices
-            ]
-            seen = [False] * self.order
-            classes = []
-            for start in range(self.order):
-                if seen[start]:
-                    continue
-                seen[start] = True
-                orbit = [start]
-                for j in orbit:  # orbit doubles as the queue
-                    for perm in conjugations:
-                        k = perm[j]
-                        if not seen[k]:
-                            seen[k] = True
-                            orbit.append(k)
-                classes.append((start, orbit))
+            classes = self.class_orbits(range(self.order), self.generator_indices)
             centralizers = {rep: self.centralizer(rep) for rep, _ in classes}
             self._conjugacy = ConjugacyData(classes, centralizers)
         return self._conjugacy
+
+    def class_orbits(
+        self, indices: Sequence[int], gens: Sequence[int]
+    ) -> list[tuple[int, list[int]]]:
+        """(first index, members in discovery order) of each orbit of
+        j -> g j g^-1, g running over the generator indices `gens`, on the
+        element indices `indices` (a union of orbits, such as a subgroup
+        that holds `gens`).  Orbits come in the order of their first index
+        in `indices`; over all elements and the group's generators they are
+        its conjugacy classes, over Z(g) and its generators those of Z(g)."""
+        right = self._right_tables()
+        inv = self.inverse_index()
+        conjugations = [(g, right[inv[g]]) for g in gens]
+        seen = bytearray(self.order)
+        orbits = []
+        for start in indices:
+            if seen[start]:
+                continue
+            seen[start] = 1
+            orbit = [start]
+            for j in orbit:  # orbit doubles as the queue
+                times_j = right[j]
+                for g, times_ginv in conjugations:
+                    k = times_ginv[times_j[g]]
+                    if not seen[k]:
+                        seen[k] = 1
+                        orbit.append(k)
+            orbits.append((start, orbit))
+        return orbits
 
     def centralizer(self, i: int) -> tuple[int, ...]:
         right = self._right_tables()

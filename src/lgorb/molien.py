@@ -12,7 +12,7 @@ where A = h|Fix(g), A_w is its block on the sector coordinates of weight
 w and d is the total weight.  Averaging the trace over Z(g) (Molien) gives
 the invariant dimension in each weighted degree.  The trace is a class
 function of Z(g), so one representative per class suffices; the classes
-come from the group's index tables.
+come from the group's own orbit walk, `FiniteMatrixGroup.class_orbits`.
 
 No field inverse is needed.  With B = h^-1|Fix(g) = A^-1 and
 chi_B(t) = det(t - B), det(1 - t B) is chi_B with its coefficients
@@ -130,27 +130,6 @@ def _trace_series(det_h: CycNum, charpolys: tuple, total: int, top: int) -> tupl
     return tuple(trace)
 
 
-def _centralizer_classes(group, inverse, centralizer: Sequence[int], zgens: Sequence[int]) -> list:
-    """(first index, size) of each conjugacy class of the subgroup with
-    the given indices and generators, from the group's index tables."""
-    mul = group.mul_index
-    seen: set[int] = set()
-    out = []
-    for start in centralizer:
-        if start in seen:
-            continue
-        seen.add(start)
-        orbit = [start]
-        for j in orbit:  # orbit doubles as the queue
-            for z in zgens:
-                c = mul(mul(z, j), inverse[z])
-                if c not in seen:
-                    seen.add(c)
-                    orbit.append(c)
-        out.append((start, len(orbit)))
-    return out
-
-
 def invariant_degree_dims(
     group, sector, centralizer: Sequence[int], zgens: Sequence[int]
 ) -> tuple[int, ...]:
@@ -163,13 +142,13 @@ def invariant_degree_dims(
     weights = algebra.weights
     inverse = group.inverse_index()
     sums = [CycNum.from_rational(n, algebra.conductor) for n in algebra.graded_dims]
-    for rep, size in _centralizer_classes(group, inverse, centralizer, zgens):
+    for rep, members in group.class_orbits(centralizer, zgens):
         if rep == 0:
             continue  # the identity's trace is the Hilbert series: sums' start
         h = group.elements[rep]
         binv = restriction_matrix(group.elements[inverse[rep]], sector)
         trace = _graded_trace(h.det, binv, weights.weights, weights.total, top)
-        scale = CycNum.from_rational(size, algebra.conductor)
+        scale = CycNum.from_rational(len(members), algebra.conductor)
         sums = [s.addmul(scale, t) if t else s for s, t in zip(sums, trace)]
     dims = []
     for n, s in enumerate(sums):

@@ -151,10 +151,6 @@ class Poly:
     def sorted_terms(self) -> list[tuple[Monomial, CycNum]]:
         return sorted(self.terms.items(), key=lambda t: grevlex_key(t[0]), reverse=True)
 
-    def is_homogeneous(self) -> bool:
-        degs = {mon_degree(m) for m in self.terms}
-        return len(degs) <= 1
-
     def cache_key(self):
         key = self._key
         if key is None:

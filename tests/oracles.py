@@ -466,8 +466,9 @@ def reynolds_image(actions) -> tuple[int, tuple]:
         ]
         for i in range(size)
     ]
-    columns = [tuple(avg[i][j] for i in range(size)) for j in range(size)]
-    basis = linalg.column_space_basis(columns)
+    # a deterministic basis of the image: the pivot columns of avg
+    _, pivots = linalg.rref(avg)
+    basis = [tuple(avg[i][j] for i in range(size)) for j in pivots]
     return len(basis), tuple(basis)
 
 

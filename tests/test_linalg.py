@@ -127,15 +127,6 @@ def test_invert_and_solve():
     assert inconsistent is None
 
 
-def test_in_span_and_column_space():
-    one, zero = CycNum.one(7), CycNum.zero(7)
-    cols = [(one, zero, one), (zero, one, one)]
-    assert linalg.in_span(cols, (one, one, CycNum.from_rational(2, 7)))
-    assert not linalg.in_span(cols, (one, zero, zero))
-    basis = linalg.column_space_basis(list(cols) + [(one, one, CycNum.from_rational(2, 7))])
-    assert len(basis) == 2
-
-
 def _mat_vec(matrix, x):
     return [sum((a * b for a, b in zip(row[1:], x[1:])), row[0] * x[0]) for row in matrix]
 

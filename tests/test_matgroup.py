@@ -286,6 +286,28 @@ def test_table_structure_matches_matrix_oracle(key, hat):
     _assert_structure_matches_oracle(group, pairs)
 
 
+@pytest.mark.parametrize("hat", [False, True], ids=["base", "hat"])
+@pytest.mark.parametrize("key", CATALOG_KEYS)
+def test_centralizer_class_orbits_match_matrix_oracle(key, hat):
+    """The classes of each centralizer, as the Molien average walks them.
+    A centralizer that is the whole group is skipped above order 24: its
+    classes are the group's, checked by the structure test above."""
+    group = catalog_group(key, hat=hat)
+    conj = group.conjugacy()
+    for rep, _ in conj.classes:
+        centralizer = conj.centralizers[rep]
+        if len(centralizer) == group.order > 24:
+            continue
+        zgens = [i for i in group.subgroup_generator_indices(centralizer) if i != 0]
+        orbits = group.class_orbits(centralizer, zgens)
+        sub = from_elements([group.elements[i] for i in centralizer])
+        expected = [
+            (centralizer[first], tuple(centralizer[k] for k in members))
+            for first, members in oracles.matrix_conjugacy_classes(sub)
+        ]
+        assert [(first, tuple(sorted(members))) for first, members in orbits] == expected
+
+
 def test_from_elements_conjugates_match_matrix_oracle(slf):
     rng = random.Random(20261017)
     for key in ("c", "g", "h", "i", "j"):

@@ -154,16 +154,21 @@ def test_cli_matrix_file_lifts_dividing_conductors(tmp_path, capsys):
 
 
 def test_cli_matrix_file_rejects_foreign_conductor(tmp_path, capsys):
+    """The second file is rejected before any field is built: the field of
+    conductor 30030 alone is slow to set up."""
     zero, one = CycNum.zero(5), CycNum.one(5)
     z5 = [[zeta(5), zero, zero], [zero, zeta(5, 4), zero], [zero, zero, one]]
-    path = tmp_path / "five.json"
-    path.write_text(json.dumps({"matrices": [_matrix_data(z5)]}))
-    assert cli.main(["compute", "--group", f"file:{path}"]) == cli.EXIT_INPUT
-    captured = capsys.readouterr()
-    assert captured.err == (
-        "error: matrix conductor 5 does not divide the polynomial's conductor 28\n"
-    )
-    assert captured.out == ""
+    large = [[[{"conductor": 30030, "coeffs": [["1", "1"]]}]]]
+    for conductor, matrices in ((5, [_matrix_data(z5)]), (30030, large)):
+        path = tmp_path / f"c{conductor}.json"
+        path.write_text(json.dumps({"matrices": matrices}))
+        assert cli.main(["compute", "--group", f"file:{path}"]) == cli.EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: matrix conductor {conductor} does not divide "
+            "the polynomial's conductor 28\n"
+        )
+        assert captured.out == ""
 
 
 def test_cli_inadmissible_group_exit_3(tmp_path, capsys):
@@ -205,6 +210,10 @@ def test_cli_input_errors_exit_2(tmp_path, capsys):
             json.dumps({"matrices": [[[{"conductor": 28, "coeffs": [["1", "0"]]}]]]}),
             "error: bad matrix data: coefficient with denominator 0\n",
         ),
+        (
+            '{"matrices": [[[{"conductor": Infinity, "coeffs": [["1", "1"]]}]]]}',
+            "error: bad matrix data: cannot convert float infinity to integer\n",
+        ),
         ('{"matrices": "abc"}', "error: 'matrices' must be a list of matrices\n"),
         ('{"generators": ["RS^3"], "hat": "false"}', "error: 'hat' must be true or false\n"),
         (
@@ -232,6 +241,7 @@ def test_cli_input_errors_exit_2(tmp_path, capsys):
         "top-level-list",
         "generators-string",
         "zero-denominator",
+        "conductor-infinity",
         "matrices-string",
         "hat-string",
         "conductor-5",
