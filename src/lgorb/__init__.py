@@ -3,7 +3,7 @@ for quasihomogeneous singularities with finite matrix symmetry groups,
 with the Klein quartic catalog built in.
 
 All arithmetic is exact (cyclotomic fields over arbitrary-precision
-rationals); floating point appears only in optional diagnostic printers.
+rationals); the package uses no floating point at all.
 """
 
 from lgorb.catalog import (
@@ -14,7 +14,7 @@ from lgorb.catalog import (
     klein_quartic,
     word_matrix,
 )
-from lgorb.exactnum import CycNum, Rational, cyclotomic_polynomial, zeta
+from lgorb.exactnum import CycNum, cyclotomic_polynomial, zeta
 from lgorb.jacobian import (
     GroebnerBasis,
     JacobianAlgebra,
@@ -42,7 +42,6 @@ from lgorb.orbifold import (
     compute_hh,
     identity_sector_products,
     invariant_subspace,
-    rho,
     sector_action,
     surface_cohomology_dim,
 )
@@ -74,7 +73,6 @@ __all__ = [
     "JacobianAlgebra",
     "Monomial",
     "Poly",
-    "Rational",
     "Sector",
     "SectorReport",
     "WeightSystem",
@@ -104,7 +102,6 @@ __all__ = [
     "quotient_basis",
     "residue_pairing",
     "restrict_to_subspace",
-    "rho",
     "sector_action",
     "substitute_linear",
     "surface_cohomology_dim",

@@ -81,7 +81,7 @@ def _load_group_file(path: str) -> tuple[FiniteMatrixGroup, bool]:
         _check_entry_conductors(matrices, conductor)
         try:
             gens = [GMatrix.from_lists(m) for m in matrices]
-        except (LgorbError, ValueError, KeyError, TypeError, OverflowError) as exc:
+        except (LgorbError, ValueError, KeyError, TypeError) as exc:
             raise InputError(f"bad matrix data: {exc}") from exc
         if any(g.n != gens[0].n for g in gens):
             raise InputError("matrices must share one dimension")
@@ -96,16 +96,16 @@ def _check_entry_conductors(matrices: list, conductor: int) -> None:
     """Reject an entry whose conductor does not divide the polynomial's
     before any field is built, since building a field costs time that
     grows with its conductor.  The conductor is read as `CycNum.from_dict`
-    reads it; an entry where that fails is left to `GMatrix.from_lists`,
+    reads it, a plain int; any other entry is left to `GMatrix.from_lists`,
     which reports it as bad matrix data."""
     for matrix in matrices:
         for row in matrix if isinstance(matrix, list) else ():
             for entry in row if isinstance(row, list) else ():
                 try:
-                    stated = int(entry["conductor"])
-                except (LookupError, TypeError, ValueError, OverflowError):
+                    stated = entry["conductor"]
+                except (LookupError, TypeError):
                     continue
-                if stated > 0 and conductor % stated:
+                if type(stated) is int and stated > 0 and conductor % stated:
                     raise InputError(
                         f"matrix conductor {stated} does not divide "
                         f"the polynomial's conductor {conductor}"

@@ -25,10 +25,6 @@ class ClosureCapExceededError(LgorbError, RuntimeError):
     """Raised when group closure exceeds the element cap."""
 
 
-class OrderCapExceededError(LgorbError, RuntimeError):
-    """Raised when an element order search exceeds its cap."""
-
-
 class InadmissibleGroupError(LgorbError, ValueError):
     """Raised when a group contains an element with determinant not in {1, -1}."""
 

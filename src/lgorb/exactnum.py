@@ -26,14 +26,11 @@ instances can be shared freely across threads.
 
 from __future__ import annotations
 
-import cmath
 from fractions import Fraction
 from math import gcd, isqrt
 
 from lgorb import _kernels
 from lgorb.errors import ConductorMismatchError, ShapeError
-
-Rational = Fraction
 
 
 def euler_phi(n: int) -> int:
@@ -459,11 +456,6 @@ class CycNum:
                 parts.append(f"+ {body}" if c > 0 else f"- {body}")
         return " ".join(parts)
 
-    def complex_approx(self) -> complex:
-        """Floating approximation for diagnostics only; never used in logic."""
-        w = cmath.exp(2j * cmath.pi / self.conductor)
-        return sum(float(c) * w**i for i, c in enumerate(self.coeffs))
-
     # -- serialization -----------------------------------------------------
 
     def to_dict(self) -> dict:
@@ -474,11 +466,24 @@ class CycNum:
 
     @classmethod
     def from_dict(cls, data: dict) -> "CycNum":
+        """Inverse of `to_dict`.  The conductor must be an int and each
+        numerator and denominator an int or a decimal string; a bool, a
+        float or anything else raises ValueError instead of being rounded."""
+        conductor = data["conductor"]
+        if type(conductor) is not int:
+            raise ValueError(f"conductor must be an integer, got {conductor!r}")
+        pairs = [tuple(pair) for pair in data["coeffs"]]
+        for part in (part for pair in pairs for part in pair):
+            if type(part) not in (int, str):
+                raise ValueError(
+                    f"coefficient numerators and denominators must be integers "
+                    f"or strings, got {part!r}"
+                )
         try:
-            coeffs = [Fraction(int(num), int(den)) for num, den in data["coeffs"]]
+            coeffs = [Fraction(int(num), int(den)) for num, den in pairs]
         except ZeroDivisionError:
             raise ValueError("coefficient with denominator 0") from None
-        return cls.from_coeffs(int(data["conductor"]), coeffs)
+        return cls.from_coeffs(conductor, coeffs)
 
 
 def zeta(n: int, k: int = 1) -> CycNum:

@@ -245,10 +245,6 @@ class JacobianAlgebra:
             out[self.basis_index[mon]] = coeff
         return tuple(out)
 
-    def poly_from_vector(self, vec) -> Poly:
-        terms = {m: c for m, c in zip(self.basis, vec) if c}
-        return Poly(self.arity, terms, self.conductor)
-
     def degree_slices(self) -> list[range]:
         """Index ranges of the basis grouped by weighted degree."""
         slices = []
@@ -257,14 +253,6 @@ class JacobianAlgebra:
             slices.append(range(start, start + dim))
             start += dim
         return slices
-
-    def to_dict(self) -> dict:
-        return {
-            "basis": [list(m) for m in self.basis],
-            "graded_dims": list(self.graded_dims),
-            "milnor": self.milnor,
-            "hessian_class": [c.to_dict() for c in self.hessian_class],
-        }
 
 
 _ALGEBRA_CACHE: dict = {}

@@ -19,16 +19,10 @@ import warnings
 from typing import Optional, Sequence
 
 from lgorb import linalg
-from lgorb.errors import (
-    ClosureCapExceededError,
-    OrderCapExceededError,
-    ShapeError,
-    SingularMatrixError,
-)
+from lgorb.errors import ClosureCapExceededError, ShapeError, SingularMatrixError
 from lgorb.exactnum import CycNum
 
 DEFAULT_CLOSURE_CAP = 2048
-DEFAULT_ORDER_CAP = 1024
 
 
 class GMatrix:
@@ -146,17 +140,6 @@ class GMatrix:
             if k:
                 base = base * base
         return result
-
-    def order(self, cap: int = DEFAULT_ORDER_CAP) -> int:
-        power = self
-        for k in range(1, cap + 1):
-            if power.is_identity():
-                return k
-            power = power * self
-        raise OrderCapExceededError(f"element order exceeds cap {cap}")
-
-    def apply(self, vec: Sequence[CycNum]) -> tuple[CycNum, ...]:
-        return tuple(CycNum.dot(row, vec) for row in self.rows)
 
     def __eq__(self, other):
         if not isinstance(other, GMatrix):
@@ -309,20 +292,6 @@ class FiniteMatrixGroup:
     def determinants(self) -> tuple[CycNum, ...]:
         return tuple(m.det for m in self.elements)
 
-    def is_admissible(self) -> bool:
-        """True iff every determinant is 1 or -1.  det is a homomorphism and
-        {1, -1} a subgroup, so the generators decide it."""
-        one = CycNum.one(self.conductor)
-        return all(g.det == one or g.det == -one for g in self.generators)
-
-    def is_abelian(self) -> bool:
-        tables, gens = self.generator_tables, self.generator_indices
-        return all(
-            tables[kb][a] == tables[ka][b]
-            for ka, a in enumerate(gens)
-            for kb, b in enumerate(gens)
-        )
-
     def subgroup_generator_indices(self, indices: Sequence[int]) -> list[int]:
         """Greedy small generating set (by index order) for a subgroup given
         as an element index set."""
@@ -370,16 +339,6 @@ class FiniteMatrixGroup:
         right = self._right_tables()
         times_i = right[i]
         return tuple(j for j in range(self.order) if times_i[j] == right[j][i])
-
-    # -- serialization -----------------------------------------------------
-
-    def to_dict(self) -> dict:
-        return {
-            "conductor": self.conductor,
-            "matrices": [m.to_lists() for m in self.elements],
-            "generator_indices": list(self.generator_indices),
-            "words": list(self.words) if self.words is not None else None,
-        }
 
 
 def _greedy_generators(indices: Sequence[int], right_table) -> tuple[list[int], list]:

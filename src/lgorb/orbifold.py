@@ -80,17 +80,12 @@ class Sector:
 
     g: GMatrix
     fix_basis: tuple[tuple[CycNum, ...], ...]
-    restricted: Poly
     algebra: JacobianAlgebra
     free_rows: tuple[int, ...]
 
     @property
     def fix_dim(self) -> int:
         return len(self.fix_basis)
-
-    @property
-    def dim_raw(self) -> int:
-        return self.algebra.milnor
 
 
 def build_sector(f: Poly, g: GMatrix, weights: Optional[WeightSystem] = None) -> Sector:
@@ -129,34 +124,16 @@ def _build_sector(f: Poly, g: GMatrix, weights: Optional[WeightSystem]) -> Secto
         algebra = jacobian_algebra(restricted, restricted_weights)
     else:
         algebra = jacobian_algebra(restricted, None)
-    return Sector(g, basis, restricted, algebra, free_rows)
-
-
-def rho(h: GMatrix, g: GMatrix) -> CycNum:
-    """The scalar det(h)/det(h|Fix(g)) by which a centralizing h scales xi_g."""
-    if h * g != g * h:
-        raise ValueError("rho is only defined for centralizing pairs")
-    basis, free_rows = fixed_space(g)
-    if not basis:
-        return h.det
-    columns = [h.apply(col) for col in basis]
-    restricted = [[col[r] for col in columns] for r in free_rows]
-    return h.det / linalg.det(restricted)
+    return Sector(g, basis, algebra, free_rows)
 
 
 def sector_action(h: GMatrix, sector: Sector) -> Matrix:
     """Matrix of the action of a centralizing h on Jac(f^g) xi_g, over the
-    standard monomial basis of the sector algebra."""
+    standard monomial basis of the sector algebra: the degree blocks of
+    `_DegreeAction`, placed on the diagonal."""
     if h * sector.g != sector.g * h:
         raise ValueError("sector_action is only defined for centralizing elements")
-    return _sector_action(h, h.inverse(), sector)
-
-
-def _sector_action(h: GMatrix, hinv: GMatrix, sector: Sector) -> Matrix:
-    """`sector_action` for an h already known to commute with sector.g,
-    given its inverse hinv: the degree blocks of `_DegreeAction`, placed
-    on the diagonal."""
-    action = _DegreeAction(h, hinv, sector)
+    action = _DegreeAction(h, h.inverse(), sector)
     mu = sector.algebra.milnor
     zero = CycNum.zero(sector.algebra.conductor)
     rows = [[zero] * mu for _ in range(mu)]

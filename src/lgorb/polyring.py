@@ -40,10 +40,6 @@ def mon_lcm(a: Monomial, b: Monomial) -> Monomial:
     return tuple(max(x, y) for x, y in zip(a, b))
 
 
-def mon_degree(mon: Monomial) -> int:
-    return sum(mon)
-
-
 class WeightSystem:
     """Positive integer weights d_1..d_N with quasihomogeneous total d_f."""
 
@@ -116,13 +112,6 @@ class Poly:
             value = CycNum.from_rational(Fraction(value), conductor)
         return cls(arity, {tuple([0] * arity): value}, value.conductor)
 
-    @classmethod
-    def variable(cls, i: int, arity: int, conductor: int = 1) -> "Poly":
-        if not 0 <= i < arity:
-            raise ShapeError(f"variable index {i} out of range for arity {arity}")
-        mon = tuple(1 if j == i else 0 for j in range(arity))
-        return cls(arity, {mon: CycNum.one(conductor)}, conductor)
-
     # -- basic queries -----------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -138,7 +127,7 @@ class Poly:
         return self.coeff(tuple([0] * self.arity))
 
     def total_degree(self) -> int:
-        return max((mon_degree(m) for m in self.terms), default=0)
+        return max(map(sum, self.terms), default=0)
 
     def leading_monomial(self) -> Monomial:
         if not self.terms:
@@ -220,19 +209,6 @@ class Poly:
         if not value:
             return Poly.zero(self.arity, self.conductor)
         return self._wrap({m: c * value for m, c in self.terms.items()})
-
-    def __pow__(self, k: int):
-        if k < 0:
-            raise ValueError("negative polynomial power")
-        result = Poly.constant(1, self.arity, self.conductor)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            k >>= 1
-            if k:
-                base = base * base
-        return result
 
     def __eq__(self, other):
         if not isinstance(other, Poly):

@@ -9,19 +9,24 @@ products instead of tables, one elimination per right-hand side, full
 substitutions, Euclid over Fractions, a kernel for every degree block,
 a dense convolution and reduction for every field product, row operations
 on every entry, a full-conductor elimination for every field inverse, every
-term of every matrix entry);
-the tests check the fast routes against them entry for entry.
+term of every matrix entry, rho as a quotient of determinants, element
+orders by repeated products);
+the tests check the fast routes against them entry for entry.  One helper,
+`complex_approx`, evaluates a field element in floating point; the
+package itself has none.
 """
 
 from __future__ import annotations
 
+import cmath
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import gcd
 
 from lgorb import linalg
 from lgorb.exactnum import CycNum, cyclotomic_polynomial
-from lgorb.orbifold import _build_sector, _sector_action, invariant_subspace, restriction_matrix
+from lgorb.matgroup import fixed_space
+from lgorb.orbifold import _build_sector, invariant_subspace, restriction_matrix, sector_action
 from lgorb.polyring import Poly, compose_linear, partial_derivative
 
 
@@ -180,6 +185,16 @@ def matrix_centralizer(group, i: int) -> tuple[int, ...]:
     )
 
 
+def element_order(m, cap: int = 1024) -> int:
+    """The multiplicative order of a matrix, by repeated products."""
+    power = m
+    for k in range(1, cap + 1):
+        if power.is_identity():
+            return k
+        power = power * m
+    raise ValueError(f"element order exceeds cap {cap}")
+
+
 def matrix_greedy_generators(elements) -> list[int]:
     """The index-order greedy generating set of an element list with the
     identity first: each generator is the first element outside the
@@ -279,6 +294,25 @@ def substitution_sector_action(h, sector):
     ]
     mu = algebra.milnor
     return tuple(tuple(images[j][i] * scale for j in range(mu)) for i in range(mu))
+
+
+def apply(h, vec) -> tuple[CycNum, ...]:
+    """The matrix-vector product h vec."""
+    return tuple(CycNum.dot(row, vec) for row in h.rows)
+
+
+def rho(h, g) -> CycNum:
+    """The scalar det(h)/det(h|Fix(g)) by which a centralizing h scales
+    xi_g, with h|Fix(g) read off the images of the fix basis and divided
+    out (the engine multiplies by det(h^-1|Fix(g)) instead)."""
+    if h * g != g * h:
+        raise ValueError("rho is only defined for centralizing pairs")
+    basis, free_rows = fixed_space(g)
+    if not basis:
+        return h.det
+    columns = [apply(h, col) for col in basis]
+    restricted = [[col[r] for col in columns] for r in free_rows]
+    return h.det / linalg.det(restricted)
 
 
 def poly_invmod(a: list[Fraction], mod: list[Fraction]) -> list[Fraction]:
@@ -383,6 +417,13 @@ def bareiss_inverse(a: CycNum) -> CycNum:
     return CycNum(a.conductor, [row[phi] * a.den for row in aug], prev_pivot)
 
 
+def complex_approx(a: CycNum) -> complex:
+    """Floating-point value of a at zeta_n = exp(2 pi i / n), for sanity
+    checks only."""
+    w = cmath.exp(2j * cmath.pi / a.conductor)
+    return sum(float(c) * w**i for i, c in enumerate(a.coeffs))
+
+
 def dense_matmul(a_rows, b_rows) -> tuple[tuple[CycNum, ...], ...]:
     """Matrix product with every entry the fused `CycNum.dot` over all n
     terms, zeros included (the route to GMatrix.__mul__ that skips no
@@ -472,22 +513,25 @@ def reynolds_image(actions) -> tuple[int, tuple]:
     return len(basis), tuple(basis)
 
 
+def poly_from_vector(algebra, vec) -> Poly:
+    """The polynomial with coordinates vec over the algebra's monomial basis."""
+    terms = {m: c for m, c in zip(algebra.basis, vec) if c}
+    return Poly(algebra.arity, terms, algebra.conductor)
+
+
 def kernel_route(f, group, weights) -> dict:
     """{class representative: (degree dimensions, invariant basis)} by the
-    route that solves every degree block: the full `_sector_action` of each
+    route that solves every degree block: the full `sector_action` of each
     centralizer generator, cut into its degree blocks (the off-block
     entries must vanish), and `invariant_subspace` on each block; a
     trivial centralizer keeps the whole sector."""
     conj = group.conjugacy()
-    inverse = group.inverse_index()
     out = {}
     for rep, _ in conj.classes:
         sector = _build_sector(f, group.elements[rep], weights)
         algebra = sector.algebra
         gens = [i for i in group.subgroup_generator_indices(conj.centralizers[rep]) if i]
-        actions = [
-            _sector_action(group.elements[i], group.elements[inverse[i]], sector) for i in gens
-        ]
+        actions = [sector_action(group.elements[i], sector) for i in gens]
         zero, one = CycNum.zero(algebra.conductor), CycNum.one(algebra.conductor)
         dims, basis = [], []
         for rng in algebra.degree_slices():
@@ -505,6 +549,6 @@ def kernel_route(f, group, weights) -> dict:
             for v in vecs:
                 full = [zero] * algebra.milnor
                 full[rng.start : rng.stop] = v
-                basis.append(algebra.poly_from_vector(full))
+                basis.append(poly_from_vector(algebra, full))
         out[rep] = (tuple(dims), tuple(basis))
     return out

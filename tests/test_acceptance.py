@@ -19,8 +19,9 @@ from lgorb.catalog import CATALOG_KEYS, catalog_group, expected
 from lgorb.exactnum import CycNum
 from lgorb.jacobian import normal_form, quotient_basis, residue_pairing
 from lgorb.matgroup import from_elements, generate_closure
-from lgorb.orbifold import build_sector, identity_sector_products, rho, sector_action
+from lgorb.orbifold import build_sector, identity_sector_products, sector_action
 from lgorb.polyring import Poly, hessian, substitute_linear
+from oracles import poly_from_vector, rho
 
 
 def record(name: str, ok: bool, detail: str = ""):
@@ -136,7 +137,7 @@ def _reynolds_projection(f, group, algebra, mon):
         vec = algebra.vector(moved)
         total = vec if total is None else tuple(a + b for a, b in zip(total, vec))
     scale = CycNum.from_rational(Fraction(1, group.order), f.conductor)
-    return algebra.poly_from_vector(tuple(v * scale for v in total))
+    return poly_from_vector(algebra, tuple(v * scale for v in total))
 
 
 def test_criterion_5_hat_v4_product_identities(klein, klein_algebra):

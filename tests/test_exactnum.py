@@ -9,6 +9,7 @@ from lgorb.errors import ConductorMismatchError, ShapeError
 from lgorb.exactnum import CycNum, _field, _subfield, cyclotomic_polynomial, euler_phi, zeta
 from oracles import (
     bareiss_inverse,
+    complex_approx,
     dense_dot,
     dense_mul_nums,
     dense_rows,
@@ -226,7 +227,7 @@ def test_serialization_roundtrip_big_integers():
 
 def test_str_and_complex_approx_smoke():
     s = sqrt_minus_seven()
-    approx = s.complex_approx()
+    approx = complex_approx(s)
     assert abs(approx.real) < 1e-9 and abs(approx.imag - 7**0.5) < 1e-9
     assert "z7" in str(s)
 

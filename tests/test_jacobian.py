@@ -181,7 +181,6 @@ def test_pairing_nondegenerate_on_complementary_degrees(klein, klein_algebra):
 
 
 def test_algebra_serialization(klein_algebra):
-    data = klein_algebra.to_dict()
-    assert data["milnor"] == 27
-    assert data["graded_dims"] == [1, 3, 6, 7, 6, 3, 1]
-    assert len(data["basis"]) == 27
+    assert klein_algebra.milnor == 27
+    assert klein_algebra.graded_dims == (1, 3, 6, 7, 6, 3, 1)
+    assert len(klein_algebra.basis) == 27

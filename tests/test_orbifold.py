@@ -19,19 +19,23 @@ from lgorb.orbifold import (
     HHReport,
     _build_sector,
     _DegreeAction,
-    _sector_action,
     build_sector,
     compute_hh,
     identity_sector_products,
     invariant_subspace,
     restriction_matrix,
-    rho,
     sector_action,
     surface_cohomology_dim,
 )
 from lgorb.molien import invariant_degree_dims
 from lgorb.polyring import Poly, WeightSystem
-from oracles import kernel_route, pairwise_product_table, reynolds_image, substitution_sector_action
+from oracles import (
+    kernel_route,
+    pairwise_product_table,
+    reynolds_image,
+    rho,
+    substitution_sector_action,
+)
 
 
 def test_surface_cohomology_dim():
@@ -45,19 +49,19 @@ def test_surface_cohomology_dim():
 def test_build_sector_examples(klein):
     f, w = klein
     s_sector = build_sector(f, generator_matrix("S"), w)
-    assert s_sector.fix_dim == 0 and s_sector.dim_raw == 1
+    assert s_sector.fix_dim == 0 and s_sector.algebra.milnor == 1
 
     t_sector = build_sector(f, generator_matrix("T"), w)
-    assert t_sector.fix_dim == 1 and t_sector.dim_raw == 3
-    assert t_sector.restricted == Poly(1, {(4,): 3}, f.conductor)
+    assert t_sector.fix_dim == 1 and t_sector.algebra.milnor == 3
+    assert t_sector.algebra.source == Poly(1, {(4,): 3}, f.conductor)
 
     g = -word_matrix("RS^2RS")
     wide = build_sector(f, g, w)
-    assert wide.fix_dim == 2 and wide.dim_raw == 9
+    assert wide.fix_dim == 2 and wide.algebra.milnor == 9
 
     identity_sector = build_sector(f, GMatrix.identity(3, 28), w)
-    assert identity_sector.fix_dim == 3 and identity_sector.dim_raw == 27
-    assert identity_sector.restricted == f
+    assert identity_sector.fix_dim == 3 and identity_sector.algebra.milnor == 27
+    assert identity_sector.algebra.source == f
 
 
 def test_build_sector_rejects_non_symmetry(klein):
@@ -176,7 +180,6 @@ def test_sector_action_matches_substitution_oracle(klein, key, hat, seed):
                 continue
             h, hinv = group.elements[i], group.elements[inverse[i]]
             expected = substitution_sector_action(h, sector)
-            assert _sector_action(h, hinv, sector) == expected
             assert sector_action(h, sector) == expected
             det_hinv = linalg.det(restriction_matrix(hinv, sector)) if sector.fix_dim else 1
             assert rho(h, g) == h.det * det_hinv
@@ -314,8 +317,8 @@ def test_every_catalog_restriction_is_a_homogeneous_quartic(klein):
             sector = build_sector(f, group.elements[rep], w)
             if sector.fix_dim:
                 weights = WeightSystem([1] * sector.fix_dim, 4)
-                assert is_quasihomogeneous(sector.restricted, weights)
-                assert not sector.restricted.is_zero()
+                assert is_quasihomogeneous(sector.algebra.source, weights)
+                assert not sector.algebra.source.is_zero()
 
 
 def test_inadmissible_group_rejected(klein):

@@ -136,6 +136,15 @@ def _matrix_data(rows):
     return [[e.to_dict() for e in row] for row in rows]
 
 
+def _identity_file(corner: dict) -> str:
+    """A one-matrix group file: the 3 x 3 identity over Q with its top-left
+    entry replaced.  Read with int(), each corner used below is 1."""
+    zero, one = CycNum.zero(1), CycNum.one(1)
+    rows = _matrix_data([[one if i == j else zero for j in range(3)] for i in range(3)])
+    rows[0][0] = corner
+    return json.dumps({"matrices": [rows]})
+
+
 def test_cli_matrix_file_lifts_dividing_conductors(tmp_path, capsys):
     zero, one = CycNum.zero(1), CycNum.one(1)
     cycle = _matrix_data([[zero, one, zero], [zero, zero, one], [one, zero, zero]])
@@ -212,7 +221,20 @@ def test_cli_input_errors_exit_2(tmp_path, capsys):
         ),
         (
             '{"matrices": [[[{"conductor": Infinity, "coeffs": [["1", "1"]]}]]]}',
-            "error: bad matrix data: cannot convert float infinity to integer\n",
+            "error: bad matrix data: conductor must be an integer, got inf\n",
+        ),
+        (
+            _identity_file({"conductor": True, "coeffs": [["1", "1"]]}),
+            "error: bad matrix data: conductor must be an integer, got True\n",
+        ),
+        (
+            _identity_file({"conductor": 1.5, "coeffs": [["1", "1"]]}),
+            "error: bad matrix data: conductor must be an integer, got 1.5\n",
+        ),
+        (
+            _identity_file({"conductor": 1, "coeffs": [[1.9, "1"]]}),
+            "error: bad matrix data: coefficient numerators and denominators must be "
+            "integers or strings, got 1.9\n",
         ),
         ('{"matrices": "abc"}', "error: 'matrices' must be a list of matrices\n"),
         ('{"generators": ["RS^3"], "hat": "false"}', "error: 'hat' must be true or false\n"),
@@ -242,6 +264,9 @@ def test_cli_input_errors_exit_2(tmp_path, capsys):
         "generators-string",
         "zero-denominator",
         "conductor-infinity",
+        "entry-conductor-true",
+        "entry-conductor-float",
+        "coeff-float",
         "matrices-string",
         "hat-string",
         "conductor-5",
