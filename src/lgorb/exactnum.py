@@ -121,6 +121,15 @@ class _Field:
 _FIELDS: dict[int, _Field] = {}
 
 
+def _exact_rational(value) -> int | Fraction:
+    """value itself if it is an int (not a bool) or a Fraction; TypeError
+    naming it otherwise, so that a float's binary expansion never enters
+    exact arithmetic."""
+    if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
+        raise TypeError(f"expected an int or a Fraction, got {value!r}")
+    return value
+
+
 def _field(n: int) -> _Field:
     f = _FIELDS.get(n)
     if f is None:
@@ -211,15 +220,17 @@ class CycNum:
 
     @classmethod
     def from_rational(cls, value, conductor: int = 1) -> "CycNum":
-        q = Fraction(value)
+        """value (an int or a Fraction, see `_exact_rational`) in Q(zeta_n)."""
+        q = Fraction(_exact_rational(value))
         phi = _field(conductor).phi
         nums = [q.numerator] + [0] * (phi - 1)
         return cls(conductor, nums, q.denominator)
 
     @classmethod
     def from_coeffs(cls, conductor: int, coeffs) -> "CycNum":
-        """Build from a sequence of phi(n) rationals over the power basis."""
-        fracs = [Fraction(c) for c in coeffs]
+        """Build from a sequence of phi(n) ints or Fractions over the power
+        basis (see `_exact_rational`)."""
+        fracs = [Fraction(_exact_rational(c)) for c in coeffs]
         den = 1
         for f in fracs:
             den = den // gcd(den, f.denominator) * f.denominator
@@ -266,7 +277,7 @@ class CycNum:
                     f"conductor mismatch: {self.conductor} vs {other.conductor}"
                 )
             return other
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
             return CycNum.from_rational(other, self.conductor)
         return None
 
@@ -415,7 +426,7 @@ class CycNum:
         return CycNum(m, out, self.den)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
             other = CycNum.from_rational(other, self.conductor)
         if not isinstance(other, CycNum):
             return NotImplemented

@@ -5,6 +5,18 @@ degree-compatible, so graded dimensions of a quotient read directly off
 the standard monomials.  Buchberger runs with the normal selection
 strategy (smallest lcm first) plus the coprimality and chain criteria;
 generators are kept monic, so reduction needs no divisions.
+
+A Jacobian algebra multiplies classes written as coordinates over its
+standard monomial basis, through a product table kept on the algebra
+(the multiplication matrices of a finite-dimensional quotient): entry
+(i, j) is the class of basis[i] * basis[j] as (index, coeff) pairs.  The
+table starts empty and an entry is filled by `normal_form` the first time
+a product needs it; a standard monomial is its own class, and a pair
+whose weighted degrees add up to more than the top degree is zero without
+an entry, because the ideal is weighted-homogeneous.  Each output
+coordinate of a product is one fused `CycNum.dot`.  Algebras are memoized
+per process, so every group whose sectors share an algebra shares its
+table; memory grows with the entries used, at most milnor^2.
 """
 
 from __future__ import annotations
@@ -210,6 +222,8 @@ class JacobianAlgebra:
         "graded_dims",
         "milnor",
         "hessian_class",
+        "degrees",
+        "_table",
     )
 
     def __init__(self, source, weights, gb, basis, graded_dims, hessian_class):
@@ -221,6 +235,8 @@ class JacobianAlgebra:
         self.graded_dims = tuple(graded_dims)
         self.milnor = len(self.basis)
         self.hessian_class = tuple(hessian_class)
+        self.degrees = tuple(d for d, dim in enumerate(self.graded_dims) for _ in range(dim))
+        self._table = None  # filled by `multiply`, one entry at a time
 
     @property
     def arity(self) -> int:
@@ -244,6 +260,70 @@ class JacobianAlgebra:
         for mon, coeff in reduced.terms.items():
             out[self.basis_index[mon]] = coeff
         return tuple(out)
+
+    def _class_of(self, mon: Monomial) -> tuple[tuple[int, CycNum], ...]:
+        """The class of one monomial as (index, coeff) pairs over `basis`:
+        a standard monomial is its own normal form."""
+        one = CycNum.one(self.conductor)
+        k = self.basis_index.get(mon)
+        if k is not None:
+            return ((k, one),)
+        reduced = self.nf(Poly(self.arity, {mon: one}, self.conductor))
+        return tuple(sorted((self.basis_index[m], c) for m, c in reduced.terms.items()))
+
+    def multiply(self, u, v) -> tuple[CycNum, ...]:
+        """Coordinates of the product of the classes with coordinates u and v.
+
+        Reads the product table: entry (i, j) is the class of
+        basis[i] * basis[j] as (index, coeff) pairs, filled on first use.  A
+        pair whose degrees add up to more than the top degree is zero
+        without an entry.  Each output coordinate is one fused `CycNum.dot`
+        over the pairs that reach it."""
+        mu, basis, degrees = self.milnor, self.basis, self.degrees
+        table = self._table
+        if table is None:
+            table = self._table = [[None] * mu for _ in range(mu)]
+        top = self.top_degree()
+        right = [(j, b, degrees[j]) for j, b in enumerate(v) if b]
+        lefts: list[list[CycNum]] = [[] for _ in range(mu)]
+        rights: list[list[CycNum]] = [[] for _ in range(mu)]
+        for i, a in enumerate(u):
+            if not a:
+                continue
+            row, room = table[i], top - degrees[i]
+            for j, b, d in right:
+                if d > room:
+                    break  # the basis is sorted by degree
+                entry = row[j]
+                if entry is None:
+                    entry = row[j] = table[j][i] = self._class_of(mon_mul(basis[i], basis[j]))
+                ab = None
+                for k, c in entry:
+                    if c.is_one():
+                        lefts[k].append(a)
+                        rights[k].append(b)
+                        continue
+                    if ab is None:
+                        ab = a * b
+                    lefts[k].append(ab)
+                    rights[k].append(c)
+        zero = CycNum.zero(self.conductor)
+        return tuple(CycNum.dot(l, r) if l else zero for l, r in zip(lefts, rights))
+
+    def linear_class(self, coeffs) -> tuple[CycNum, ...]:
+        """Coordinates of the class of the linear form sum_c coeffs[c] t_c.
+        A variable that is not a standard monomial (one with a linear
+        partial derivative in the ideal) is normal-formed on every call."""
+        k, mu = self.arity, self.milnor
+        lefts: list[list[CycNum]] = [[] for _ in range(mu)]
+        rights: list[list[CycNum]] = [[] for _ in range(mu)]
+        for c, a in enumerate(coeffs):
+            if a:
+                for i, b in self._class_of(tuple(int(j == c) for j in range(k))):
+                    lefts[i].append(a)
+                    rights[i].append(b)
+        zero = CycNum.zero(self.conductor)
+        return tuple(CycNum.dot(l, r) if l else zero for l, r in zip(lefts, rights))
 
     def degree_slices(self) -> list[range]:
         """Index ranges of the basis grouped by weighted degree."""
@@ -309,5 +389,5 @@ def residue_pairing(u: Poly, v: Poly, algebra: JacobianAlgebra) -> CycNum:
         raise ValueError("top graded piece is not one-dimensional")
     top_index = algebra.milnor - 1
     hess_top = algebra.hessian_class[top_index]
-    product_vec = algebra.vector(u * v)
+    product_vec = algebra.multiply(algebra.vector(u), algebra.vector(v))
     return product_vec[top_index] / hess_top

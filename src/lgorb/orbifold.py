@@ -28,10 +28,14 @@ kernel, kept because the benchmark justifies it: the `products` and
 
 The action needs no division: h^-1 also commutes with g, so
 (h|Fix(g))^-1 = h^-1|Fix(g) is read off the group's own inverse.  The
-images of the standard monomials are built in basis order, and only up
-to the highest degree block needed, each from the reduced image of a
-monomial one degree lower times one substituted linear form, so every
-product that gets reduced is already small.
+images of the standard monomials are coordinate vectors built in basis
+order, and only up to the highest degree block needed: each is the image
+of a monomial one degree lower times the class of one substituted linear
+form, multiplied through the sector algebra's product table
+(`JacobianAlgebra.multiply`).  Invariant products in the identity sector
+go through the same table.  Once an algebra's table holds the entries a
+computation needs, nothing is multiplied as a polynomial, and nothing is
+normal-formed unless a substituted variable is not a standard monomial.
 
 Element-level results are memoized once per process, like the Jacobian
 algebras of `lgorb.jacobian`: `_build_sector` by (f, g, weights) and the
@@ -59,7 +63,7 @@ from lgorb.errors import (
     ShapeError,
 )
 from lgorb.exactnum import CycNum
-from lgorb.jacobian import JacobianAlgebra, jacobian_algebra, normal_form
+from lgorb.jacobian import JacobianAlgebra, jacobian_algebra
 from lgorb.matgroup import FiniteMatrixGroup, GMatrix, fixed_space
 from lgorb.molien import invariant_degree_dims, restriction_matrix
 from lgorb.polyring import Poly, WeightSystem, restrict_to_subspace, substitute_linear
@@ -153,21 +157,20 @@ class _DegreeAction:
     is a plain row selection; rho(h, g) = det(h) det(hinv|Fix(g)).
     Standard monomials form an order ideal and the basis is sorted by
     degree, so for m != 1 with first variable x_i, m / x_i is an earlier
-    basis monomial; image(m) = normal_form(image(m / x_i) * L_i), where
-    L_i = sum_c ainv[i][c] t_c, multiplies an already reduced image of one
-    degree lower by one linear form."""
+    basis monomial; image(m) = image(m / x_i) * [L_i], where [L_i] is the
+    class of L_i = sum_c ainv[i][c] t_c, multiplies the coordinates of an
+    image of one degree lower by one class through the algebra's product
+    table."""
 
     def __init__(self, h: GMatrix, hinv: GMatrix, sector: Sector):
         algebra = self.algebra = sector.algebra
         self.slices = algebra.degree_slices()
-        k, conductor = algebra.arity, algebra.conductor
         ainv = restriction_matrix(hinv, sector)
-        self.scale = h.det * linalg.det(ainv) if k else h.det
-        units = [tuple(int(j == c) for j in range(k)) for c in range(k)]
-        self.lin = [
-            Poly(k, {units[c]: v for c, v in enumerate(row) if v}, conductor) for row in ainv
-        ]
-        self.images = [Poly.constant(1, k, conductor)]  # of algebra.basis[: len(images)]
+        self.scale = h.det * linalg.det(ainv) if algebra.arity else h.det
+        self.lin = [algebra.linear_class(row) for row in ainv]
+        zero = CycNum.zero(algebra.conductor)
+        unit = (CycNum.one(algebra.conductor),) + (zero,) * (algebra.milnor - 1)
+        self.images = [unit]  # coordinates of the images of algebra.basis[: len(images)]
 
     def block(self, b: int) -> Matrix:
         """The action on the degree-b block of the basis; GradingError if an
@@ -176,17 +179,12 @@ class _DegreeAction:
         for mon in algebra.basis[len(images) : rng.stop]:
             i = next(j for j, e in enumerate(mon) if e)
             lower = mon[:i] + (mon[i] - 1,) + mon[i + 1 :]
-            images.append(normal_form(images[algebra.basis_index[lower]] * self.lin[i], algebra.gb))
-        zero = CycNum.zero(algebra.conductor)
+            images.append(algebra.multiply(images[algebra.basis_index[lower]], self.lin[i]))
         columns = []
         for img in images[rng.start : rng.stop]:
-            col = [zero] * len(rng)
-            for mon, coeff in img.terms.items():
-                i = algebra.basis_index[mon] - rng.start
-                if not 0 <= i < len(rng):
-                    raise GradingError("sector action does not preserve the grading")
-                col[i] = coeff
-            columns.append(col)
+            if any(img[: rng.start]) or any(img[rng.stop :]):
+                raise GradingError("sector action does not preserve the grading")
+            columns.append(img[rng.start : rng.stop])
         if self.scale == -CycNum.one(algebra.conductor):
             columns = [[-v for v in col] for col in columns]
         elif not self.scale.is_one():
@@ -304,18 +302,52 @@ def _class_report(
     centralizer: Sequence[int],
     weights: Optional[WeightSystem],
 ) -> SectorReport:
-    """Each degree block's invariant dimension comes from the characters;
+    """The report of one class, with the invariant basis of
+    `_class_invariants` written as polynomials."""
+    g = group.elements[rep]
+    sector, dims, vectors = _class_invariants(f, group, rep, centralizer, weights)
+    algebra = sector.algebra
+    return SectorReport(
+        rep_index=rep,
+        rep_word=group.word_for(rep),
+        rep_matrix=g,
+        class_size=len(members),
+        centralizer_order=len(centralizer),
+        fix_dim=sector.fix_dim,
+        sector_dim_raw=algebra.milnor,
+        invariant_dim=sum(dims),
+        degree_dims=dims,
+        invariant_basis=tuple(_class_poly(algebra, v) for v in vectors),
+    )
+
+
+def _class_poly(algebra: JacobianAlgebra, vector) -> Poly:
+    """The polynomial of standard monomials with the given coordinates."""
+    terms = {algebra.basis[i]: c for i, c in enumerate(vector) if c}
+    return Poly(algebra.arity, terms, algebra.conductor)
+
+
+def _class_invariants(
+    f: Poly,
+    group: FiniteMatrixGroup,
+    rep: int,
+    centralizer: Sequence[int],
+    weights: Optional[WeightSystem],
+) -> tuple[Sector, tuple[int, ...], list[tuple[CycNum, ...]]]:
+    """The sector of class `rep`, its invariant dimension per degree and its
+    invariant basis as coordinates over the sector algebra's basis.
+
+    Each degree block's invariant dimension comes from the characters;
     its basis is empty, the whole block, a span of products of invariants
     (identity sector) or a kernel of the block's action, in that order of
     preference, and always in the kernel_basis convention."""
-    g = group.elements[rep]
-    sector = _build_sector(f, g, weights)
+    sector = _build_sector(f, group.elements[rep], weights)
     algebra = sector.algebra
     zgens = [i for i in group.subgroup_generator_indices(centralizer) if i != 0]
     dims = invariant_degree_dims(group, sector, centralizer, zgens)
     actions: list[_DegreeAction] = []  # built when a first block needs a kernel
     zero, one = CycNum.zero(algebra.conductor), CycNum.one(algebra.conductor)
-    by_degree: list[list[Poly]] = []
+    by_degree: list[list[tuple[CycNum, ...]]] = []
     for b, (rng, dim) in enumerate(zip(algebra.degree_slices(), dims)):
         if dim == len(rng):
             vecs = [tuple(one if k == i else zero for k in range(dim)) for i in range(dim)]
@@ -336,23 +368,12 @@ def _class_report(
                         f"degree {b}: the invariant kernel has dimension {found}, "
                         f"the character average {dim}"
                     )
-        terms = [{algebra.basis[rng.start + i]: c for i, c in enumerate(v) if c} for v in vecs]
-        by_degree.append([Poly(algebra.arity, t, algebra.conductor) for t in terms])
-    return SectorReport(
-        rep_index=rep,
-        rep_word=group.word_for(rep),
-        rep_matrix=g,
-        class_size=len(members),
-        centralizer_order=len(centralizer),
-        fix_dim=sector.fix_dim,
-        sector_dim_raw=algebra.milnor,
-        invariant_dim=sum(dims),
-        degree_dims=dims,
-        invariant_basis=tuple(p for polys in by_degree for p in polys),
-    )
+        before, after = (zero,) * rng.start, (zero,) * (algebra.milnor - rng.stop)
+        by_degree.append([before + tuple(v) + after for v in vecs])
+    return sector, dims, [v for vecs in by_degree for v in vecs]
 
 
-def _products(algebra: JacobianAlgebra, by_degree: list[list[Poly]], b: int, rng: range):
+def _products(algebra: JacobianAlgebra, by_degree: list[list[tuple]], b: int, rng: range):
     """Coordinates in the degree-b block `rng` of the products of two
     invariants of positive degree whose degrees add up to b.  In the
     identity sector rho is 1, so invariants form a subalgebra and every
@@ -361,7 +382,7 @@ def _products(algebra: JacobianAlgebra, by_degree: list[list[Poly]], b: int, rng
         highs = by_degree[b - i]
         for p, low in enumerate(by_degree[i]):
             for high in highs[p:] if 2 * i == b else highs:
-                yield algebra.vector(low * high)[rng.start : rng.stop]
+                yield algebra.multiply(low, high)[rng.start : rng.stop]
 
 
 @lru_cache(maxsize=None)
@@ -452,43 +473,46 @@ def identity_sector_products(
     invariant basis.
 
     Every pair product b_i b_j (i <= j) is written as a vector over the
-    Jacobian algebra's monomial basis, and all of them are solved against
-    the invariant basis in one elimination (`linalg.solve` with one
-    right-hand side per pair).  A product outside the invariant span
-    raises ValueError.  A pair whose lowest weighted degrees add up to more
-    than the algebra's top degree is the zero vector, with no product and
-    no normal form: the Jacobian ideal is weighted-homogeneous, so normal
-    forms keep degree, and no standard monomial lies above the top degree.
+    Jacobian algebra's monomial basis by the algebra's product table
+    (`JacobianAlgebra.multiply`), and all of them are solved against the
+    invariant basis in one elimination (`linalg.solve` with one right-hand
+    side per pair).  A product outside the invariant span raises
+    ValueError.  A pair whose lowest weighted degrees add up to more than
+    the algebra's top degree is the zero vector, with no product: the
+    Jacobian ideal is weighted-homogeneous, so normal forms keep degree,
+    and no standard monomial lies above the top degree.
 
     An explicit basis of invariant classes may be supplied; it is accepted
     when its classes span the invariant subspace, each solved against the
-    computed invariant basis.  Otherwise the computed basis is used.
+    computed invariant basis, and its coordinates (`JacobianAlgebra.vector`,
+    once per class) are multiplied.  Otherwise the coordinates of the
+    computed basis are used as they are.
     """
     _validate_group(f, group)
     if weights is None:
         weights = WeightSystem([1] * f.arity, f.total_degree())
     conj = group.conjugacy()
-    report = _class_report(f, group, 0, conj.classes[0][1], conj.centralizers[0], weights)
-    algebra = jacobian_algebra(f, weights)
-    invariants = [algebra.vector(p) for p in report.invariant_basis]
+    sector, _, invariants = _class_invariants(f, group, 0, conj.centralizers[0], weights)
+    algebra = sector.algebra
     if basis is None:
-        basis, vectors = report.invariant_basis, invariants
+        basis, vectors = tuple(_class_poly(algebra, v) for v in invariants), invariants
     else:
         basis = tuple(basis)
         vectors = [algebra.vector(p) for p in basis]
-        if linalg.rank(list(map(list, zip(*vectors)))) != report.invariant_dim or len(
+        if linalg.rank(list(map(list, zip(*vectors)))) != len(invariants) or len(
             vectors
-        ) != report.invariant_dim:
+        ) != len(invariants):
             raise ValueError("supplied classes are not a basis of the invariants")
         if any(x is None for x in linalg.solve([list(r) for r in zip(*invariants)], vectors)):
             raise ValueError("a supplied class is not invariant")
     matrix = [list(row) for row in zip(*vectors)]
     pairs = [(i, j) for i in range(len(basis)) for j in range(i, len(basis))]
-    low = [min(map(weights.weighted_degree, p.terms), default=0) for p in basis]
+    # the basis is sorted by degree, so a class's first nonzero coordinate has its lowest degree
+    low = [next((algebra.degrees[k] for k, c in enumerate(v) if c), 0) for v in vectors]
     top = algebra.top_degree()
     zero = (CycNum.zero(algebra.conductor),) * algebra.milnor
     rhs = [
-        zero if low[i] + low[j] > top else algebra.vector(basis[i] * basis[j])
+        zero if low[i] + low[j] > top else algebra.multiply(vectors[i], vectors[j])
         for i, j in pairs
     ]
     solutions = linalg.solve(matrix, rhs)

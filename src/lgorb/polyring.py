@@ -83,7 +83,7 @@ class Poly:
                 if len(mon) != arity or any(e < 0 for e in mon):
                     raise ShapeError(f"bad monomial {mon} for arity {arity}")
                 if not isinstance(coeff, CycNum):
-                    coeff = CycNum.from_rational(Fraction(coeff), inferred or 1)
+                    coeff = CycNum.from_rational(coeff, inferred or 1)
                 if inferred is None:
                     inferred = coeff.conductor
                 elif coeff.conductor != inferred:
@@ -109,7 +109,7 @@ class Poly:
     @classmethod
     def constant(cls, value, arity: int, conductor: int = 1) -> "Poly":
         if not isinstance(value, CycNum):
-            value = CycNum.from_rational(Fraction(value), conductor)
+            value = CycNum.from_rational(value, conductor)
         return cls(arity, {tuple([0] * arity): value}, value.conductor)
 
     # -- basic queries -----------------------------------------------------
@@ -205,7 +205,7 @@ class Poly:
 
     def scale(self, value) -> "Poly":
         if not isinstance(value, CycNum):
-            value = CycNum.from_rational(Fraction(value), self.conductor)
+            value = CycNum.from_rational(value, self.conductor)
         if not value:
             return Poly.zero(self.arity, self.conductor)
         return self._wrap({m: c * value for m, c in self.terms.items()})

@@ -5,6 +5,7 @@ from itertools import product as iter_product
 import pytest
 
 from lgorb import linalg
+from lgorb.catalog import catalog_group
 from lgorb.errors import NonIsolatedSingularityError
 from lgorb.exactnum import CycNum
 from lgorb.jacobian import (
@@ -14,8 +15,9 @@ from lgorb.jacobian import (
     quotient_basis,
     residue_pairing,
 )
+from lgorb.orbifold import build_sector
 from lgorb.polyring import Poly, WeightSystem, hessian, partial_derivative
-from oracles import dense_normal_form_klein
+from oracles import dense_normal_form_klein, poly_from_vector
 
 KLEIN_BASIS_FAMILY = {
     d: [m for m in iter_product(range(3), repeat=3) if sum(m) == d]
@@ -184,3 +186,72 @@ def test_algebra_serialization(klein_algebra):
     assert klein_algebra.milnor == 27
     assert klein_algebra.graded_dims == (1, 3, 6, 7, 6, 3, 1)
     assert len(klein_algebra.basis) == 27
+
+
+def _sector_algebras(klein):
+    """Sector algebras of catalog e^ with fixed dimensions 2, 1 and 0 (a
+    binary quartic, a single quartic and the arity-0 algebra)."""
+    f, w = klein
+    by_dim = {}
+    for g in catalog_group("e", hat=True).elements:
+        sector = build_sector(f, g, w)
+        by_dim.setdefault(sector.fix_dim, sector.algebra)
+    return [by_dim[2], by_dim[1], by_dim[0]]
+
+
+def _weighted_algebra():
+    """x1^2 + x2^4 + x3^4 with weights (2, 1, 1; 4): the class of x1 is 0."""
+    one = CycNum.one(28)
+    f = Poly(3, {(2, 0, 0): one, (0, 4, 0): one, (0, 0, 4): one}, 28)
+    return jacobian_algebra(f, WeightSystem((2, 1, 1), 4))
+
+
+def _random_class(algebra, rng, low_degree=0):
+    """Random coordinates on the basis monomials of degree at least
+    low_degree: about half of them zero when low_degree is 0, none
+    otherwise."""
+    zero = CycNum.zero(algebra.conductor)
+    phi = len(zero.nums)
+    return tuple(
+        CycNum.from_coeffs(algebra.conductor, [rng.randint(-3, 3) for _ in range(phi)])
+        if d >= low_degree and (low_degree or rng.random() < 0.5)
+        else zero
+        for d in algebra.degrees
+    )
+
+
+def test_table_product_matches_polynomial_product(klein, klein_algebra):
+    """The table product equals the class of the polynomial product (a Poly
+    product and a normal form) for random classes, including classes whose
+    every pair of terms lies above the top degree."""
+    rng = random.Random(14)
+    algebras = [klein_algebra, *_sector_algebras(klein), _weighted_algebra()]
+    assert [a.arity for a in algebras] == [3, 2, 1, 0, 3]
+    weighted = algebras[-1]
+    assert weighted.vector(Poly(3, {(1, 0, 0): 1}, 28)) == (CycNum.zero(28),) * weighted.milnor
+    for algebra in algebras:
+        top = algebra.top_degree()
+        cases = [(_random_class(algebra, rng), _random_class(algebra, rng)) for _ in range(6)]
+        high = top // 2 + 1
+        cases += [(_random_class(algebra, rng, high), _random_class(algebra, rng, high)) for _ in range(2)]
+        for u, v in cases:
+            expected = algebra.vector(poly_from_vector(algebra, u) * poly_from_vector(algebra, v))
+            assert algebra.multiply(u, v) == expected
+            assert algebra.multiply(v, u) == expected
+        if top:
+            u, v = cases[-1]
+            assert any(u) and any(v)
+            assert not any(algebra.multiply(u, v))
+
+
+def test_linear_class_matches_normal_form(klein_algebra):
+    """The class of a linear form, read from the classes of the variables,
+    equals its normal form, also where a variable's class is 0."""
+    rng = random.Random(7)
+    for algebra in (klein_algebra, _weighted_algebra()):
+        n = algebra.conductor
+        for _ in range(4):
+            coeffs = [CycNum.from_rational(rng.randint(-2, 2), n) for _ in range(algebra.arity)]
+            units = [tuple(int(j == c) for j in range(algebra.arity)) for c in range(algebra.arity)]
+            form = Poly(algebra.arity, dict(zip(units, coeffs)), n)
+            assert algebra.linear_class(coeffs) == algebra.vector(form)

@@ -159,3 +159,35 @@ def test_pretty_printer(klein):
 def test_monomials_of_degree_oracle_sanity():
     assert len(monomials_of_degree(3, 3)) == 10
     assert monomials_of_degree(2, 1) == [(0, 1), (1, 0)]
+
+
+@pytest.mark.parametrize(
+    "build, value",
+    [
+        (lambda: CycNum.from_rational(0.1), "0.1"),
+        (lambda: CycNum.from_rational(True, 7), "True"),
+        (lambda: CycNum.from_coeffs(4, [0.5, 0.25]), "0.5"),
+        (lambda: CycNum.from_coeffs(4, [1, False]), "False"),
+        (lambda: Poly(1, {(1,): 0.1}), "0.1"),
+        (lambda: Poly(1, {(1,): True}), "True"),
+        (lambda: Poly.constant(2.0, 3), "2.0"),
+        (lambda: Poly(1, {(1,): 1}).scale(0.5), "0.5"),
+        (lambda: Poly(1, {(1,): 1}).scale(True), "True"),
+    ],
+    ids=[
+        "from_rational-float",
+        "from_rational-bool",
+        "from_coeffs-float",
+        "from_coeffs-bool",
+        "poly-float",
+        "poly-bool",
+        "constant-float",
+        "scale-float",
+        "scale-bool",
+    ],
+)
+def test_exact_constructors_reject_floats_and_bools(build, value):
+    """Library constructors take an int or a Fraction and nothing that
+    would be rounded or reinterpreted on the way in."""
+    with pytest.raises(TypeError, match=f"^expected an int or a Fraction, got {value}$"):
+        build()
