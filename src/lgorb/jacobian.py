@@ -116,34 +116,26 @@ def _spoly(f: Poly, g: Poly) -> Poly:
 
 def buchberger(generators) -> GroebnerBasis:
     """Reduced Groebner basis of the ideal generated by the inputs."""
-    gens: list[Poly] = []
-    for g in generators:
-        if g:
-            gens.append(g.scale(g.leading_coeff().inverse()))
-    if not gens:
+    basis = sorted(
+        (g.scale(g.leading_coeff().inverse()) for g in generators if g),
+        key=lambda g: grevlex_key(g.leading_monomial()),
+    )
+    if not basis:
         raise ValueError("cannot take a Groebner basis of the zero ideal")
-    gens.sort(key=lambda g: grevlex_key(g.leading_monomial()))
-    basis = list(gens)
-
-    def lm(i):
-        return basis[i].leading_monomial()
-
+    lms = [g.leading_monomial() for g in basis]
     pairs = {(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))}
     done: set[tuple[int, int]] = set()
     while pairs:
-        i, j = min(
-            pairs,
-            key=lambda ij: (grevlex_key(mon_lcm(lm(ij[0]), lm(ij[1]))), ij),
-        )
+        i, j = min(pairs, key=lambda ij: (grevlex_key(mon_lcm(lms[ij[0]], lms[ij[1]])), ij))
         pairs.discard((i, j))
         done.add((i, j))
-        lcm = mon_lcm(lm(i), lm(j))
-        if lcm == mon_mul(lm(i), lm(j)):
+        lcm = mon_lcm(lms[i], lms[j])
+        if lcm == mon_mul(lms[i], lms[j]):
             continue  # coprime leading monomials
         if any(
             k != i
             and k != j
-            and mon_divides(lm(k), lcm)
+            and mon_divides(lms[k], lcm)
             and (min(i, k), max(i, k)) in done
             and (min(j, k), max(j, k)) in done
             for k in range(len(basis))
@@ -151,12 +143,11 @@ def buchberger(generators) -> GroebnerBasis:
             continue  # chain criterion
         remainder = normal_form(_spoly(basis[i], basis[j]), GroebnerBasis(basis))
         if remainder:
-            remainder = remainder.scale(remainder.leading_coeff().inverse())
-            basis.append(remainder)
+            basis.append(remainder.scale(remainder.leading_coeff().inverse()))
+            lms.append(remainder.leading_monomial())
             new = len(basis) - 1
             pairs.update((k, new) for k in range(new))
-    # drop generators with redundant leading monomials
-    lms = [g.leading_monomial() for g in basis]
+    # a minimal basis: drop generators with redundant leading monomials
     kept = [
         g
         for i, g in enumerate(basis)
@@ -165,17 +156,12 @@ def buchberger(generators) -> GroebnerBasis:
             for j in range(len(basis))
         )
     ]
-    # tail-reduce to a fixpoint: the reduced basis is unique
-    changed = len(kept) > 1
-    while changed:
-        changed = False
+    # Tail reduction keeps every leading monomial and coefficient 1, so one
+    # pass leaves each generator with no term divisible by any leading
+    # monomial: the unique reduced basis.
+    if len(kept) > 1:
         for i in range(len(kept)):
-            others = GroebnerBasis([h for j, h in enumerate(kept) if j != i])
-            tail = normal_form(kept[i], others)
-            tail = tail.scale(tail.leading_coeff().inverse())
-            if tail != kept[i]:
-                kept[i] = tail
-                changed = True
+            kept[i] = normal_form(kept[i], GroebnerBasis(kept[:i] + kept[i + 1 :]))
     return GroebnerBasis(kept)
 
 
@@ -211,7 +197,8 @@ def quotient_basis(basis: GroebnerBasis) -> list[Monomial]:
 
 
 class JacobianAlgebra:
-    """The quotient by the ideal of partial derivatives, with basis data."""
+    """The quotient by the ideal of partial derivatives, with basis data;
+    `hessian_class` holds the coordinates of the Hessian's class."""
 
     __slots__ = (
         "source",
@@ -226,7 +213,7 @@ class JacobianAlgebra:
         "_table",
     )
 
-    def __init__(self, source, weights, gb, basis, graded_dims, hessian_class):
+    def __init__(self, source, weights, gb, basis, graded_dims):
         self.source = source
         self.weights = weights
         self.gb = gb
@@ -234,9 +221,9 @@ class JacobianAlgebra:
         self.basis_index = {m: i for i, m in enumerate(self.basis)}
         self.graded_dims = tuple(graded_dims)
         self.milnor = len(self.basis)
-        self.hessian_class = tuple(hessian_class)
         self.degrees = tuple(d for d, dim in enumerate(self.graded_dims) for _ in range(dim))
         self._table = None  # filled by `multiply`, one entry at a time
+        self.hessian_class = self.vector(hessian(source))
 
     @property
     def arity(self) -> int:
@@ -344,36 +331,27 @@ def jacobian_algebra(f: Poly, w: WeightSystem | None = None) -> JacobianAlgebra:
     Results are memoized per polynomial (construction is pure).
     """
     if w is None:
-        w = WeightSystem([1] * f.arity, f.total_degree() or 1) if f.arity else WeightSystem([1], 1)
+        w = WeightSystem([1] * f.arity, f.total_degree() or 1)
     key = (f.cache_key(), w.weights, w.total)
     cached = _ALGEBRA_CACHE.get(key)
     if cached is not None:
         return cached
-    if f.arity == 0:
-        one = CycNum.one(f.conductor)
-        algebra = JacobianAlgebra(f, w, None, [()], [1], [one])
-        _ALGEBRA_CACHE[key] = algebra
-        return algebra
-    if not is_quasihomogeneous(f, w):
-        raise ValueError("polynomial is not quasihomogeneous for the given weights")
-    partials = [partial_derivative(f, i) for i in range(f.arity)]
-    if any(p.is_zero() for p in partials):
-        raise NonIsolatedSingularityError("a partial derivative vanishes identically")
-    gb = buchberger(partials)
-    basis = quotient_basis(gb)
-    degrees = [w.weighted_degree(m) for m in basis]
-    top = max(degrees)
-    dims = [degrees.count(d) for d in range(top + 1)]
-    basis.sort(key=lambda m: (w.weighted_degree(m), grevlex_key(m)))
-    hess_vec_poly = normal_form(hessian(f), gb)
-    zero = CycNum.zero(f.conductor)
-    index = {m: i for i, m in enumerate(basis)}
-    hess_class = [zero] * len(basis)
-    for mon, coeff in hess_vec_poly.terms.items():
-        hess_class[index[mon]] = coeff
-    if not any(hess_class):
+    if f.arity:
+        if not is_quasihomogeneous(f, w):
+            raise ValueError("polynomial is not quasihomogeneous for the given weights")
+        partials = [partial_derivative(f, i) for i in range(f.arity)]
+        if any(p.is_zero() for p in partials):
+            raise NonIsolatedSingularityError("a partial derivative vanishes identically")
+        gb = buchberger(partials)
+        basis = quotient_basis(gb)
+        degrees = [w.weighted_degree(m) for m in basis]
+        dims = [degrees.count(d) for d in range(max(degrees) + 1)]
+        basis.sort(key=lambda m: (w.weighted_degree(m), grevlex_key(m)))
+    else:
+        gb, basis, dims = None, [()], [1]
+    algebra = JacobianAlgebra(f, w, gb, basis, dims)
+    if not any(algebra.hessian_class):
         raise NonIsolatedSingularityError("Hessian class vanishes in the quotient")
-    algebra = JacobianAlgebra(f, w, gb, basis, dims, hess_class)
     _ALGEBRA_CACHE[key] = algebra
     return algebra
 

@@ -62,21 +62,21 @@ def rank(matrix) -> int:
     return len(rref(matrix)[1])
 
 
-def kernel_basis_with_free(matrix, conductor: int | None = None) -> tuple[list[Vector], list[int]]:
+def kernel_basis_with_free(matrix) -> tuple[list[Vector], list[int]]:
     """Basis of the right kernel plus the free column indices.
 
     One vector per free column j (ascending): entry 1 at j, the negated
     reduced-row entries at the pivot positions, 0 elsewhere.  The rows of
     the basis matrix at the free indices therefore form an identity block.
+    A matrix without rows or columns gives ([], []).
     """
     rows = _as_rows(matrix)
-    if not rows:
+    if not rows or not rows[0]:
         return [], []
     ncols = len(rows[0])
-    if conductor is None:
-        conductor = rows[0][0].conductor
     reduced, pivots = rref(rows)
     pivot_of_col = {c: i for i, c in enumerate(pivots)}
+    conductor = rows[0][0].conductor
     zero, one = CycNum.zero(conductor), CycNum.one(conductor)
     basis = []
     free = [j for j in range(ncols) if j not in pivot_of_col]
@@ -90,18 +90,13 @@ def kernel_basis_with_free(matrix, conductor: int | None = None) -> tuple[list[V
     return basis, free
 
 
-def kernel_basis(matrix, conductor: int | None = None) -> list[Vector]:
-    """Basis of the right kernel, as column vectors (RREF convention)."""
-    return kernel_basis_with_free(matrix, conductor)[0]
-
-
 def kernel_form_basis(vectors: Iterable[Vector], stop: int | None = None) -> list[Vector]:
-    """The basis `kernel_basis` returns for any matrix whose kernel is the
-    span of the vectors: one vector per free column j, ascending, with 1 at
-    j, 0 at the other free columns and nothing after j.  That is the
-    reduced row echelon form of the span with the column order reversed,
-    so it depends on the span alone.  The vectors are read lazily, and
-    reading stops once `stop` independent ones have been seen."""
+    """The kernel basis `kernel_basis_with_free` gives for any matrix whose
+    kernel is the span of the vectors: one vector per free column j,
+    ascending, with 1 at j, 0 at the other free columns and nothing after
+    j.  That is the reduced row echelon form of the span with the column
+    order reversed, so it depends on the span alone.  The vectors are read
+    lazily, and reading stops once `stop` independent ones have been seen."""
     rows: dict[int, list[CycNum]] = {}  # reversed pivot -> reversed, reduced row
     for vec in vectors:
         v = list(reversed(vec))

@@ -178,7 +178,7 @@ def fixed_space(g: GMatrix) -> tuple[tuple[tuple[CycNum, ...], ...], tuple[int, 
         [g.rows[i][j] - one if i == j else g.rows[i][j] for j in range(g.n)]
         for i in range(g.n)
     ]
-    basis, free = linalg.kernel_basis_with_free(rows, g.conductor)
+    basis, free = linalg.kernel_basis_with_free(rows)
     return tuple(basis), tuple(free)
 
 
@@ -425,14 +425,11 @@ def generate_closure(
     return FiniteMatrixGroup(elements, [t[0] for t in tables], tables, elem_words)
 
 
-def from_elements(
-    elements: Sequence[GMatrix], generator_indices: Optional[Sequence[int]] = None
-) -> FiniteMatrixGroup:
+def from_elements(elements: Sequence[GMatrix]) -> FiniteMatrixGroup:
     """Wrap an already-closed element list (identity moved to the front).
 
-    Without generator indices, generators are picked greedily in index
-    order.  Raises ValueError if the list is not closed under
-    multiplication.
+    Generators are picked greedily in index order.  Raises ValueError if
+    the list is not closed under multiplication.
     """
     elems = list(dict.fromkeys(elements))
     identity_pos = next((i for i, m in enumerate(elems) if m.is_identity()), None)
@@ -449,11 +446,7 @@ def from_elements(
         except KeyError:
             raise ValueError("element list is not closed under multiplication") from None
 
-    if generator_indices:
-        gens = list(generator_indices)
-        tables = [right_table(i) for i in gens]
-    else:
-        gens, tables = _greedy_generators(range(len(elems)), right_table)
+    gens, tables = _greedy_generators(range(len(elems)), right_table)
     return FiniteMatrixGroup(elems, gens, tables)
 
 

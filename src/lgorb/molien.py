@@ -138,7 +138,7 @@ def invariant_degree_dims(
 
     Raises CharacterError unless every average is a non-negative integer."""
     algebra = sector.algebra
-    top = len(algebra.graded_dims) - 1
+    top = algebra.top_degree()
     weights = algebra.weights
     inverse = group.inverse_index()
     sums = [CycNum.from_rational(n, algebra.conductor) for n in algebra.graded_dims]

@@ -20,11 +20,12 @@ is computed only where a block is neither empty nor full: in the identity
 sector, where the invariants form a subalgebra, from products of
 lower-degree invariants, stopping at the predicted rank; otherwise, or
 when the products fall short, as a kernel of the block's action, whose
-dimension must equal the prediction.  Every basis is in the kernel_basis
-convention, which depends on the subspace alone, so the route leaves no
-trace in the report.  The products route is a second path beside the
-kernel, kept because the benchmark justifies it: the `products` and
-`conjugate_sweep` workloads run measurably slower with kernels alone.
+dimension must equal the prediction.  Every basis is in the convention of
+`linalg.kernel_basis_with_free`, which depends on the subspace alone, so
+the route leaves no trace in the report.  The products route is a second
+path beside the kernel, kept because the benchmark justifies it: the
+`products` and `conjugate_sweep` workloads run measurably slower with
+kernels alone.
 
 The action needs no division: h^-1 also commutes with g, so
 (h|Fix(g))^-1 = h^-1|Fix(g) is read off the group's own inverse.  The
@@ -106,7 +107,8 @@ def _build_sector(f: Poly, g: GMatrix, weights: Optional[WeightSystem]) -> Secto
 
     Sector coordinate c is the fix-basis column with its identity entry at
     row free_rows[c], so it carries that row's weight; a column mixing rows
-    of different weights admits no such grading (GradingError).
+    of different weights admits no such grading (GradingError).  A point
+    (no fixed column) gets the empty weight system.
 
     Memoized per process by (f, g, weights), all compared by value: a
     sector is a pure function of them, so a class representative met again
@@ -114,20 +116,16 @@ def _build_sector(f: Poly, g: GMatrix, weights: Optional[WeightSystem]) -> Secto
     Exceptions are not cached, and memory grows with the number of
     distinct triples seen."""
     basis, free_rows = fixed_space(g)
-    restricted = restrict_to_subspace(f, basis)
-    if basis:
-        if weights is None:
-            weights = WeightSystem([1] * f.arity, f.total_degree())
-        ws = weights.weights
-        if len(ws) != f.arity:
-            raise ShapeError(f"need {f.arity} weights, got {len(ws)}")
-        for col, r in zip(basis, free_rows):
-            if any(v and ws[i] != ws[r] for i, v in enumerate(col)):
-                raise GradingError("the fixed locus is not spanned by weight-homogeneous vectors")
-        restricted_weights = WeightSystem([ws[r] for r in free_rows], weights.total)
-        algebra = jacobian_algebra(restricted, restricted_weights)
-    else:
-        algebra = jacobian_algebra(restricted, None)
+    if weights is None:
+        weights = WeightSystem([1] * f.arity, f.total_degree())
+    ws = weights.weights
+    if len(ws) != f.arity:
+        raise ShapeError(f"need {f.arity} weights, got {len(ws)}")
+    for col, r in zip(basis, free_rows):
+        if any(v and ws[i] != ws[r] for i, v in enumerate(col)):
+            raise GradingError("the fixed locus is not spanned by weight-homogeneous vectors")
+    restricted_weights = WeightSystem([ws[r] for r in free_rows], weights.total)
+    algebra = jacobian_algebra(restrict_to_subspace(f, basis), restricted_weights)
     return Sector(g, basis, algebra, free_rows)
 
 
@@ -214,9 +212,7 @@ def invariant_subspace(actions: Sequence[Matrix]) -> tuple[int, tuple[tuple[CycN
             row = list(m[i])
             row[i] = row[i] - one
             stacked.append(row)
-    if not stacked:
-        return 0, ()
-    basis = linalg.kernel_basis(stacked, conductor)
+    basis, _ = linalg.kernel_basis_with_free(stacked)
     return len(basis), tuple(basis)
 
 
@@ -340,7 +336,8 @@ def _class_invariants(
     Each degree block's invariant dimension comes from the characters;
     its basis is empty, the whole block, a span of products of invariants
     (identity sector) or a kernel of the block's action, in that order of
-    preference, and always in the kernel_basis convention."""
+    preference, and always in the convention of
+    `linalg.kernel_basis_with_free`."""
     sector = _build_sector(f, group.elements[rep], weights)
     algebra = sector.algebra
     zgens = [i for i in group.subgroup_generator_indices(centralizer) if i != 0]
@@ -433,9 +430,6 @@ def compute_hh(
         for rep, members in conj.classes
     ]
     identity_report = next(r for r in reports if r.rep_index == 0)
-    top = sum(weights.total - 2 * w for w in weights.weights)
-    idvec = list(identity_report.degree_dims)
-    idvec += [0] * (top + 1 - len(idvec))
     group_info = {
         "order": group.order,
         "dimension": group.n,
@@ -447,7 +441,7 @@ def compute_hh(
     return HHReport(
         group=group_info,
         sectors=tuple(reports),
-        identity_dimension_vector=tuple(idvec),
+        identity_dimension_vector=identity_report.degree_dims,
         total_dim=sum(r.invariant_dim for r in reports),
     )
 
@@ -491,8 +485,7 @@ def identity_sector_products(
     _validate_group(f, group)
     if weights is None:
         weights = WeightSystem([1] * f.arity, f.total_degree())
-    conj = group.conjugacy()
-    sector, _, invariants = _class_invariants(f, group, 0, conj.centralizers[0], weights)
+    sector, _, invariants = _class_invariants(f, group, 0, range(group.order), weights)
     algebra = sector.algebra
     if basis is None:
         basis, vectors = tuple(_class_poly(algebra, v) for v in invariants), invariants

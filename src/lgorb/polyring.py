@@ -13,6 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+from lgorb import linalg
 from lgorb.errors import ShapeError
 from lgorb.exactnum import CycNum
 
@@ -378,8 +379,6 @@ def substitute_linear(p: Poly, matrix: Sequence[Sequence[CycNum]]) -> Poly:
 
 def restrict_to_subspace(p: Poly, columns: Sequence[Sequence[CycNum]]) -> Poly:
     """p(B*t) for a matrix B of linearly independent columns; arity len(columns)."""
-    from lgorb import linalg  # local import to avoid a cycle
-
     cols = [tuple(col) for col in columns]
     if cols:
         if linalg.rank([list(row) for row in zip(*cols)]) != len(cols):

@@ -10,7 +10,8 @@ substitutions, Euclid over Fractions, a kernel for every degree block,
 a dense convolution and reduction for every field product, row operations
 on every entry, a full-conductor elimination for every field inverse, every
 term of every matrix entry, rho as a quotient of determinants, element
-orders by repeated products);
+orders by repeated products, Groebner tail reduction looped to a
+fixpoint);
 the tests check the fast routes against them entry for entry.  One helper,
 `complex_approx`, evaluates a field element in floating point; the
 package itself has none.
@@ -25,9 +26,18 @@ from math import gcd
 
 from lgorb import linalg
 from lgorb.exactnum import CycNum, cyclotomic_polynomial
+from lgorb.jacobian import GroebnerBasis, _spoly, normal_form
 from lgorb.matgroup import fixed_space
 from lgorb.orbifold import _build_sector, invariant_subspace, restriction_matrix, sector_action
-from lgorb.polyring import Poly, compose_linear, partial_derivative
+from lgorb.polyring import (
+    Poly,
+    compose_linear,
+    grevlex_key,
+    mon_divides,
+    mon_lcm,
+    mon_mul,
+    partial_derivative,
+)
 
 
 def root_product_coeffs(a: dict[int, int], b: dict[int, int], n: int) -> list[int]:
@@ -552,3 +562,68 @@ def kernel_route(f, group, weights) -> dict:
                 basis.append(poly_from_vector(algebra, full))
         out[rep] = (tuple(dims), tuple(basis))
     return out
+
+
+def fixpoint_buchberger(generators) -> GroebnerBasis:
+    """Reduced Groebner basis by Buchberger's algorithm, with the minimal
+    basis tail-reduced (and made monic) over and over until a pass changes
+    nothing, and every leading monomial recomputed where it is read."""
+    gens: list[Poly] = []
+    for g in generators:
+        if g:
+            gens.append(g.scale(g.leading_coeff().inverse()))
+    if not gens:
+        raise ValueError("cannot take a Groebner basis of the zero ideal")
+    gens.sort(key=lambda g: grevlex_key(g.leading_monomial()))
+    basis = list(gens)
+
+    def lm(i):
+        return basis[i].leading_monomial()
+
+    pairs = {(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))}
+    done: set[tuple[int, int]] = set()
+    while pairs:
+        i, j = min(
+            pairs,
+            key=lambda ij: (grevlex_key(mon_lcm(lm(ij[0]), lm(ij[1]))), ij),
+        )
+        pairs.discard((i, j))
+        done.add((i, j))
+        lcm = mon_lcm(lm(i), lm(j))
+        if lcm == mon_mul(lm(i), lm(j)):
+            continue
+        if any(
+            k != i
+            and k != j
+            and mon_divides(lm(k), lcm)
+            and (min(i, k), max(i, k)) in done
+            and (min(j, k), max(j, k)) in done
+            for k in range(len(basis))
+        ):
+            continue
+        remainder = normal_form(_spoly(basis[i], basis[j]), GroebnerBasis(basis))
+        if remainder:
+            remainder = remainder.scale(remainder.leading_coeff().inverse())
+            basis.append(remainder)
+            new = len(basis) - 1
+            pairs.update((k, new) for k in range(new))
+    lms = [g.leading_monomial() for g in basis]
+    kept = [
+        g
+        for i, g in enumerate(basis)
+        if not any(
+            j != i and mon_divides(lms[j], lms[i]) and (lms[j] != lms[i] or j < i)
+            for j in range(len(basis))
+        )
+    ]
+    changed = len(kept) > 1
+    while changed:
+        changed = False
+        for i in range(len(kept)):
+            others = GroebnerBasis([h for j, h in enumerate(kept) if j != i])
+            tail = normal_form(kept[i], others)
+            tail = tail.scale(tail.leading_coeff().inverse())
+            if tail != kept[i]:
+                kept[i] = tail
+                changed = True
+    return GroebnerBasis(kept)

@@ -7,7 +7,7 @@ import pytest
 from lgorb import linalg
 from lgorb.catalog import catalog_group
 from lgorb.errors import NonIsolatedSingularityError
-from lgorb.exactnum import CycNum
+from lgorb.exactnum import CycNum, zeta
 from lgorb.jacobian import (
     buchberger,
     jacobian_algebra,
@@ -16,8 +16,8 @@ from lgorb.jacobian import (
     residue_pairing,
 )
 from lgorb.orbifold import build_sector
-from lgorb.polyring import Poly, WeightSystem, hessian, partial_derivative
-from oracles import dense_normal_form_klein, poly_from_vector
+from lgorb.polyring import Poly, WeightSystem, hessian, mon_divides, partial_derivative
+from oracles import dense_normal_form_klein, fixpoint_buchberger, poly_from_vector
 
 KLEIN_BASIS_FAMILY = {
     d: [m for m in iter_product(range(3), repeat=3) if sum(m) == d]
@@ -33,6 +33,42 @@ def test_buchberger_trivial_cases():
     x4 = Poly(1, {(4,): 1})
     gb = buchberger([partial_derivative(x4, 0)])
     assert [g for g in gb] == [Poly(1, {(3,): 1})]
+
+
+def test_buchberger_matches_fixpoint_reference_and_is_reduced():
+    """One tail-reduction pass gives the basis that tail reduction to a
+    fixpoint gives, generator for generator, on seeded random ideals of
+    arity 1-3 over conductors 1, 7 and 28; every result is reduced: monic,
+    and no term of a generator is divisible by another's leading monomial."""
+    rng = random.Random(2)
+
+    def coeff(conductor):
+        c = CycNum.from_rational(Fraction(rng.randint(-3, 3) or 1, rng.randint(1, 2)), conductor)
+        if conductor > 1 and rng.random() < 0.5:
+            c = c * zeta(conductor) ** rng.randrange(conductor)
+        return c
+
+    sizes = []
+    for arity in (1, 2, 3):
+        for conductor in (1, 7, 28):
+            for _ in range(6):
+                gens = []
+                for _ in range(rng.randint(2, 3)):
+                    terms = {
+                        tuple(rng.randint(0, 2) for _ in range(arity)): coeff(conductor)
+                        for _ in range(rng.randint(1, 3))
+                    }
+                    gens.append(Poly(arity, terms, conductor))
+                if not any(gens):
+                    continue
+                gb = buchberger(gens)
+                assert list(gb) == list(fixpoint_buchberger(gens))
+                for g in gb:
+                    assert g.leading_coeff().is_one()
+                    others = [h.leading_monomial() for h in gb if h is not g]
+                    assert not any(mon_divides(lm, m) for lm in others for m in g.terms)
+                sizes.append(len(gb))
+    assert len(sizes) > 45 and max(sizes) >= 4
 
 
 def test_klein_quotient_has_27_standard_monomials(klein_algebra):

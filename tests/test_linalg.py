@@ -24,7 +24,7 @@ def test_rref_and_kernel_convention():
     rows = [[one, two, one], [zero, zero, zero]]
     reduced, pivots = linalg.rref(rows)
     assert pivots == [0]
-    basis, free = linalg.kernel_basis_with_free(rows, 7)
+    basis, free = linalg.kernel_basis_with_free(rows)
     assert free == [1, 2]
     assert basis[0] == (-two, one, zero)
     assert basis[1] == (-one, zero, one)
@@ -180,13 +180,14 @@ def test_solve_rejects_right_hand_sides_of_the_wrong_length():
 
 def test_kernel_form_basis_is_the_kernel_basis_of_the_span():
     """Random combinations of a kernel basis, in any order and with
-    dependent extras, give back kernel_basis exactly; `stop` ends the scan
-    early and leaves the rest of the iterator unread."""
+    dependent extras, give back the basis of kernel_basis_with_free
+    exactly; `stop` ends the scan early and leaves the rest of the iterator
+    unread."""
     rng = random.Random(17)
     for nrows, ncols in ((1, 4), (2, 5), (3, 6), (1, 2)):
         matrix = [[_rand_entry(rng) for _ in range(ncols)] for _ in range(nrows)]
         matrix.append([v * 2 for v in matrix[0]])  # a dependent row
-        expected = linalg.kernel_basis(matrix)
+        expected, _ = linalg.kernel_basis_with_free(matrix)
         mixes = []
         for _ in range(len(expected) + 2):
             coeffs = [_rand_entry(rng) for _ in expected]

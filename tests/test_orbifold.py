@@ -403,6 +403,51 @@ def test_identity_sector_products_match_pairwise_oracle(klein, case):
     assert table.products == expected
 
 
+def test_point_sector_has_the_empty_weight_system(klein):
+    """S fixes only the origin: its sector algebra has no variables, the
+    empty weight system, Milnor number 1 and Hessian class 1."""
+    f, w = klein
+    sector = build_sector(f, generator_matrix("S"), w)
+    assert sector.fix_dim == 0
+    assert sector.algebra.weights.weights == ()
+    assert sector.algebra.milnor == 1
+    assert sector.algebra.hessian_class == (CycNum.one(f.conductor),)
+
+
+def _klein_e_hat_case(klein, _fermat):
+    f, w = klein
+    return f, catalog_group("e", hat=True), w
+
+
+def _weighted_minus_case(_klein, _fermat):
+    one = CycNum.one(28)
+    f = Poly(3, {(2, 0, 0): one, (0, 4, 0): one, (0, 0, 4): one}, 28)
+    return f, generate_closure([GMatrix.diagonal([one, -one, -one])]), WeightSystem((2, 1, 1), 4)
+
+
+def _fermat_minus_case(_klein, fermat):
+    f, w = fermat
+    minus = CycNum.from_rational(-1, 4)
+    return f, generate_closure([GMatrix.diagonal([minus] * 3)]), w
+
+
+_TOP_DEGREE_CASES = {
+    "klein-e^": _klein_e_hat_case,
+    "weighted": _weighted_minus_case,
+    "fermat": _fermat_minus_case,
+}
+
+
+@pytest.mark.parametrize("case", list(_TOP_DEGREE_CASES))
+def test_identity_vector_reaches_the_hessian_degree(klein, fermat, case):
+    """The identity dimension vector runs over degrees 0..sum(d - 2 w_i),
+    the weighted degree of the Hessian."""
+    f, group, w = _TOP_DEGREE_CASES[case](klein, fermat)
+    report = compute_hh(f, group, w)
+    top = sum(w.total - 2 * wi for wi in w.weights)
+    assert len(report.identity_dimension_vector) == top + 1
+
+
 def test_fermat_quartic_under_minus_identity(fermat):
     """x^4 + y^4 + z^4 at conductor 4 under <-I>: Jac(f) = C[x,y,z]/(x^3,
     y^3, z^3) has Hilbert series (1 + t + t^2)^3 = (1,3,6,7,6,3,1), -I keeps

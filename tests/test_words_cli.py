@@ -188,6 +188,19 @@ def test_cli_inadmissible_group_exit_3(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: generator #1 has determinant ")
 
 
+def test_cli_non_symmetry_exit_3(tmp_path, capsys):
+    """The transposition x1 <-> x2 has determinant -1, which is admissible,
+    but does not preserve the Klein quartic: one error line, exit 3."""
+    zero, one = CycNum.zero(1), CycNum.one(1)
+    swap = _matrix_data([[zero, one, zero], [one, zero, zero], [zero, zero, one]])
+    path = tmp_path / "swap.json"
+    path.write_text(json.dumps({"matrices": [swap]}))
+    assert cli.main(["compute", "--group", f"file:{path}"]) == cli.EXIT_INADMISSIBLE
+    captured = capsys.readouterr()
+    assert captured.err == "error: a generator does not preserve the polynomial\n"
+    assert captured.out == ""
+
+
 def test_cli_input_errors_exit_2(tmp_path, capsys):
     assert cli.main(["compute", "--group", "catalog:zz"]) == cli.EXIT_INPUT
     capsys.readouterr()
