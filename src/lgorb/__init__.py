@@ -22,7 +22,6 @@ from lgorb.jacobian import (
     jacobian_algebra,
     normal_form,
     quotient_basis,
-    residue_pairing,
 )
 from lgorb.matgroup import (
     ConjugacyData,
@@ -31,7 +30,6 @@ from lgorb.matgroup import (
     fixed_space,
     from_elements,
     generate_closure,
-    groups_conjugate,
     hat_extend,
 )
 from lgorb.orbifold import (
@@ -43,7 +41,6 @@ from lgorb.orbifold import (
     identity_sector_products,
     invariant_subspace,
     sector_action,
-    surface_cohomology_dim,
 )
 from lgorb.polyring import (
     Monomial,
@@ -87,7 +84,6 @@ __all__ = [
     "from_elements",
     "generate_closure",
     "generator_matrix",
-    "groups_conjugate",
     "hat_extend",
     "hessian",
     "identity_sector_products",
@@ -100,11 +96,9 @@ __all__ = [
     "parse_word",
     "partial_derivative",
     "quotient_basis",
-    "residue_pairing",
     "restrict_to_subspace",
     "sector_action",
     "substitute_linear",
-    "surface_cohomology_dim",
     "word_matrix",
     "zeta",
 ]

@@ -1,4 +1,4 @@
-"""Groebner bases, Jacobian algebras and the residue pairing.
+"""Groebner bases and Jacobian algebras.
 
 The monomial order is graded reverse lexicographic throughout, which is
 degree-compatible, so graded dimensions of a quotient read directly off
@@ -37,6 +37,7 @@ from lgorb.polyring import (
     mon_lcm,
     mon_mul,
     partial_derivative,
+    resolve_weights,
 )
 
 
@@ -330,8 +331,7 @@ def jacobian_algebra(f: Poly, w: WeightSystem | None = None) -> JacobianAlgebra:
 
     Results are memoized per polynomial (construction is pure).
     """
-    if w is None:
-        w = WeightSystem([1] * f.arity, f.total_degree() or 1)
+    w = resolve_weights(f, w)
     key = (f.cache_key(), w.weights, w.total)
     cached = _ALGEBRA_CACHE.get(key)
     if cached is not None:
@@ -354,18 +354,3 @@ def jacobian_algebra(f: Poly, w: WeightSystem | None = None) -> JacobianAlgebra:
         raise NonIsolatedSingularityError("Hessian class vanishes in the quotient")
     _ALGEBRA_CACHE[key] = algebra
     return algebra
-
-
-def residue_pairing(u: Poly, v: Poly, algebra: JacobianAlgebra) -> CycNum:
-    """The bilinear form with eta([1], [hess f]) = 1.
-
-    Projects the product class onto the top-degree graded piece, which is
-    one-dimensional for the quasihomogeneous isolated singularities handled
-    here (guarded).
-    """
-    if algebra.graded_dims[-1] != 1:
-        raise ValueError("top graded piece is not one-dimensional")
-    top_index = algebra.milnor - 1
-    hess_top = algebra.hessian_class[top_index]
-    product_vec = algebra.multiply(algebra.vector(u), algebra.vector(v))
-    return product_vec[top_index] / hess_top

@@ -119,15 +119,16 @@ def kernel_form_basis(vectors: Iterable[Vector], stop: int | None = None) -> lis
     return [tuple(reversed(rows[p])) for p in sorted(rows, reverse=True)]
 
 
-def det(matrix) -> CycNum:
+def det(matrix) -> CycNum | int:
     """Determinant: division-free cofactor formulas for n <= 3, exact
-    elimination above that."""
+    elimination above that.  The empty matrix gives the int 1, which
+    CycNum arithmetic coerces, so it is the unit of any caller's field."""
     rows = _as_rows(matrix)
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise ShapeError("determinant needs a square matrix")
     if n == 0:
-        return CycNum.one(1)
+        return 1
     if n == 1:
         return rows[0][0]
     dot = CycNum.dot

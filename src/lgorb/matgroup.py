@@ -7,10 +7,10 @@ index 0 is the identity and indices follow generation order.
 
 Closure records each generator's right-multiplication permutation of the
 element indices.  All group structure (products, inverses, conjugacy
-classes, centralizers, subgroup generators, conjugacy of subgroups and the
--id extension) comes from those integer tables, as in the permutation-group
-representation of Holt, Eick and O'Brien, Handbook of Computational Group
-Theory (2005), ch. 4: no matrix is multiplied or inverted after closure.
+classes, centralizers, subgroup generators and the -id extension) comes
+from those integer tables, as in the permutation-group representation of
+Holt, Eick and O'Brien, Handbook of Computational Group Theory (2005),
+ch. 4: no matrix is multiplied or inverted after closure.
 """
 
 from __future__ import annotations
@@ -277,17 +277,10 @@ class FiniteMatrixGroup:
     def word_for(self, i: int) -> Optional[str]:
         return self.words[i] if self.words is not None else None
 
-    def element_set(self) -> frozenset:
-        return frozenset(self.index)
-
     def inverse_index(self) -> tuple[int, ...]:
         if self._inverse_index is None:
             self._inverse_index = tuple(col.index(0) for col in self._right_tables())
         return self._inverse_index
-
-    def mul_index(self, i: int, j: int) -> int:
-        """Index of elements[i] * elements[j]."""
-        return self._right_tables()[j][i]
 
     def determinants(self) -> tuple[CycNum, ...]:
         return tuple(m.det for m in self.elements)
@@ -476,27 +469,3 @@ def hat_extend(group: FiniteMatrixGroup) -> FiniteMatrixGroup:
     pairs, tables, words = _closure((1, 0), step, minus + 1, gen_words, 2 * group.order)
     elements = [group.elements[i] if sign > 0 else -group.elements[i] for sign, i in pairs]
     return FiniteMatrixGroup(elements, [t[0] for t in tables], tables, words)
-
-
-def groups_conjugate(
-    g1: FiniteMatrixGroup, g2: FiniteMatrixGroup, ambient: FiniteMatrixGroup
-) -> Optional[GMatrix]:
-    """Some h in the ambient group with h G1 h^-1 = G2 (as sets), or None.
-
-    Both groups must lie in the ambient group.  Brute force over the
-    ambient elements, by table lookup.
-    """
-    if g1.order != g2.order:
-        return None
-    try:
-        members = [ambient.index[m] for m in g1.elements]
-        target = {ambient.index[m] for m in g2.elements}
-    except KeyError:
-        raise ValueError("both groups must lie in the ambient group") from None
-    right = ambient._right_tables()
-    inv = ambient.inverse_index()
-    for h in range(ambient.order):
-        times_hinv = right[inv[h]]
-        if all(times_hinv[right[m][h]] in target for m in members):
-            return ambient.elements[h]
-    return None

@@ -67,16 +67,15 @@ from lgorb.exactnum import CycNum
 from lgorb.jacobian import JacobianAlgebra, jacobian_algebra
 from lgorb.matgroup import FiniteMatrixGroup, GMatrix, fixed_space
 from lgorb.molien import invariant_degree_dims, restriction_matrix
-from lgorb.polyring import Poly, WeightSystem, restrict_to_subspace, substitute_linear
+from lgorb.polyring import (
+    Poly,
+    WeightSystem,
+    resolve_weights,
+    restrict_to_subspace,
+    substitute_linear,
+)
 
 Matrix = tuple[tuple[CycNum, ...], ...]
-
-
-def surface_cohomology_dim(genus: int) -> int:
-    """Total cohomology dimension 2 + 2g of a genus-g surface."""
-    if genus < 0:
-        raise ValueError("genus must be non-negative")
-    return 2 + 2 * genus
 
 
 @dataclass(frozen=True)
@@ -98,11 +97,11 @@ def build_sector(f: Poly, g: GMatrix, weights: Optional[WeightSystem] = None) ->
     raises NotASymmetryError unless g preserves f."""
     if substitute_linear(f, g.rows) != f:
         raise NotASymmetryError("matrix does not preserve the polynomial")
-    return _build_sector(f, g, weights)
+    return _build_sector(f, g, resolve_weights(f, weights))
 
 
 @lru_cache(maxsize=None)
-def _build_sector(f: Poly, g: GMatrix, weights: Optional[WeightSystem]) -> Sector:
+def _build_sector(f: Poly, g: GMatrix, weights: WeightSystem) -> Sector:
     """`build_sector` for a g already known to preserve f.
 
     Sector coordinate c is the fix-basis column with its identity entry at
@@ -116,8 +115,6 @@ def _build_sector(f: Poly, g: GMatrix, weights: Optional[WeightSystem]) -> Secto
     Exceptions are not cached, and memory grows with the number of
     distinct triples seen."""
     basis, free_rows = fixed_space(g)
-    if weights is None:
-        weights = WeightSystem([1] * f.arity, f.total_degree())
     ws = weights.weights
     if len(ws) != f.arity:
         raise ShapeError(f"need {f.arity} weights, got {len(ws)}")
@@ -164,7 +161,7 @@ class _DegreeAction:
         algebra = self.algebra = sector.algebra
         self.slices = algebra.degree_slices()
         ainv = restriction_matrix(hinv, sector)
-        self.scale = h.det * linalg.det(ainv) if algebra.arity else h.det
+        self.scale = h.det * linalg.det(ainv)
         self.lin = [algebra.linear_class(row) for row in ainv]
         zero = CycNum.zero(algebra.conductor)
         unit = (CycNum.one(algebra.conductor),) + (zero,) * (algebra.milnor - 1)
@@ -245,23 +242,6 @@ class SectorReport:
             "invariant_basis": [p.to_list() for p in self.invariant_basis],
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "SectorReport":
-        return cls(
-            rep_index=data["rep_index"],
-            rep_word=data["rep_word"],
-            rep_matrix=GMatrix.from_lists(data["rep_matrix"]),
-            class_size=data["class_size"],
-            centralizer_order=data["centralizer_order"],
-            fix_dim=data["fix_dim"],
-            sector_dim_raw=data["sector_dim_raw"],
-            invariant_dim=data["invariant_dim"],
-            degree_dims=tuple(data["degree_dims"]),
-            invariant_basis=tuple(
-                Poly.from_list(data["fix_dim"], item) for item in data["invariant_basis"]
-            ),
-        )
-
 
 @dataclass(frozen=True)
 class HHReport:
@@ -280,15 +260,6 @@ class HHReport:
             "total_dim": self.total_dim,
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "HHReport":
-        return cls(
-            group=data["group"],
-            sectors=tuple(SectorReport.from_dict(s) for s in data["classes"]),
-            identity_dimension_vector=tuple(data["identity_dimension_vector"]),
-            total_dim=data["total_dim"],
-        )
-
 
 def _class_report(
     f: Poly,
@@ -296,7 +267,7 @@ def _class_report(
     rep: int,
     members,
     centralizer: Sequence[int],
-    weights: Optional[WeightSystem],
+    weights: WeightSystem,
 ) -> SectorReport:
     """The report of one class, with the invariant basis of
     `_class_invariants` written as polynomials."""
@@ -328,7 +299,7 @@ def _class_invariants(
     group: FiniteMatrixGroup,
     rep: int,
     centralizer: Sequence[int],
-    weights: Optional[WeightSystem],
+    weights: WeightSystem,
 ) -> tuple[Sector, tuple[int, ...], list[tuple[CycNum, ...]]]:
     """The sector of class `rep`, its invariant dimension per degree and its
     invariant basis as coordinates over the sector algebra's basis.
@@ -422,8 +393,7 @@ def compute_hh(
     One report per conjugacy class: the Z(g)-invariants of Jac(f^g) xi_g.
     """
     _validate_group(f, group)
-    if weights is None:
-        weights = WeightSystem([1] * f.arity, f.total_degree())
+    weights = resolve_weights(f, weights)
     conj = group.conjugacy()
     reports = [
         _class_report(f, group, rep, members, conj.centralizers[rep], weights)
@@ -483,8 +453,7 @@ def identity_sector_products(
     computed basis are used as they are.
     """
     _validate_group(f, group)
-    if weights is None:
-        weights = WeightSystem([1] * f.arity, f.total_degree())
+    weights = resolve_weights(f, weights)
     sector, _, invariants = _class_invariants(f, group, 0, range(group.order), weights)
     algebra = sector.algebra
     if basis is None:

@@ -11,7 +11,7 @@ Zero-arity polynomials (bare constants) are supported so restrictions to a
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from lgorb import linalg
 from lgorb.errors import ShapeError
@@ -67,6 +67,14 @@ class WeightSystem:
 
     def __repr__(self):
         return f"WeightSystem({self.weights}, {self.total})"
+
+
+def resolve_weights(f: Poly, weights: WeightSystem | None) -> WeightSystem:
+    """The given weights, or by default weight 1 on every variable with the
+    degree of f as total (1 for a constant)."""
+    if weights is None:
+        return WeightSystem([1] * f.arity, f.total_degree() or 1)
+    return weights
 
 
 class Poly:
@@ -277,13 +285,6 @@ class Poly:
             {"exponents": list(mon), "coeff": coeff.to_dict()}
             for mon, coeff in self.sorted_terms()
         ]
-
-    @classmethod
-    def from_list(cls, arity: int, data: Iterable[dict], conductor: int | None = None) -> "Poly":
-        terms = {
-            tuple(item["exponents"]): CycNum.from_dict(item["coeff"]) for item in data
-        }
-        return cls(arity, terms, conductor)
 
 
 # -- calculus and substitution ----------------------------------------------

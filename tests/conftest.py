@@ -47,7 +47,7 @@ class _HHCache:
         self._cache = {}
 
     def report(self, group):
-        key = group.element_set()
+        key = frozenset(group.index)
         if key not in self._cache:
             self._cache[key] = compute_hh(self.f, group, self.w)
         return self._cache[key]

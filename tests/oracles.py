@@ -14,7 +14,9 @@ orders by repeated products, Groebner tail reduction looped to a
 fixpoint);
 the tests check the fast routes against them entry for entry.  One helper,
 `complex_approx`, evaluates a field element in floating point; the
-package itself has none.
+package itself has none.  The last helpers serve tests only: the surface
+cohomology bound, the residue pairing, a search for a conjugator between
+two subgroups, and the reader of `compute --format json` reports.
 """
 
 from __future__ import annotations
@@ -27,8 +29,15 @@ from math import gcd
 from lgorb import linalg
 from lgorb.exactnum import CycNum, cyclotomic_polynomial
 from lgorb.jacobian import GroebnerBasis, _spoly, normal_form
-from lgorb.matgroup import fixed_space
-from lgorb.orbifold import _build_sector, invariant_subspace, restriction_matrix, sector_action
+from lgorb.matgroup import GMatrix, fixed_space
+from lgorb.orbifold import (
+    HHReport,
+    SectorReport,
+    _build_sector,
+    invariant_subspace,
+    restriction_matrix,
+    sector_action,
+)
 from lgorb.polyring import (
     Poly,
     compose_linear,
@@ -627,3 +636,79 @@ def fixpoint_buchberger(generators) -> GroebnerBasis:
                 kept[i] = tail
                 changed = True
     return GroebnerBasis(kept)
+
+
+def surface_cohomology_dim(genus: int) -> int:
+    """Total cohomology dimension 2 + 2g of a genus-g surface."""
+    if genus < 0:
+        raise ValueError("genus must be non-negative")
+    return 2 + 2 * genus
+
+
+def residue_pairing(u: Poly, v: Poly, algebra) -> CycNum:
+    """The bilinear form with eta([1], [hess f]) = 1.
+
+    Projects the product class onto the top-degree graded piece, which is
+    one-dimensional for the quasihomogeneous isolated singularities handled
+    here (guarded).
+    """
+    if algebra.graded_dims[-1] != 1:
+        raise ValueError("top graded piece is not one-dimensional")
+    top_index = algebra.milnor - 1
+    hess_top = algebra.hessian_class[top_index]
+    product_vec = algebra.multiply(algebra.vector(u), algebra.vector(v))
+    return product_vec[top_index] / hess_top
+
+
+def groups_conjugate(g1, g2, ambient) -> GMatrix | None:
+    """Some h in the ambient group with h G1 h^-1 = G2 (as sets), or None.
+
+    Both groups must lie in the ambient group.  Brute force over the
+    ambient elements, by table lookup.
+    """
+    if g1.order != g2.order:
+        return None
+    try:
+        members = [ambient.index[m] for m in g1.elements]
+        target = {ambient.index[m] for m in g2.elements}
+    except KeyError:
+        raise ValueError("both groups must lie in the ambient group") from None
+    right = ambient._right_tables()
+    inv = ambient.inverse_index()
+    for h in range(ambient.order):
+        times_hinv = right[inv[h]]
+        if all(times_hinv[right[m][h]] in target for m in members):
+            return ambient.elements[h]
+    return None
+
+
+def poly_from_list(arity: int, data, conductor: int | None = None) -> Poly:
+    """The polynomial that `Poly.to_list` wrote as `data`."""
+    terms = {tuple(item["exponents"]): CycNum.from_dict(item["coeff"]) for item in data}
+    return Poly(arity, terms, conductor)
+
+
+def read_report(data: dict) -> HHReport:
+    """The report that `HHReport.to_dict` (`compute --format json`) wrote
+    as `data`."""
+    sectors = tuple(
+        SectorReport(
+            rep_index=s["rep_index"],
+            rep_word=s["rep_word"],
+            rep_matrix=GMatrix.from_lists(s["rep_matrix"]),
+            class_size=s["class_size"],
+            centralizer_order=s["centralizer_order"],
+            fix_dim=s["fix_dim"],
+            sector_dim_raw=s["sector_dim_raw"],
+            invariant_dim=s["invariant_dim"],
+            degree_dims=tuple(s["degree_dims"]),
+            invariant_basis=tuple(poly_from_list(s["fix_dim"], p) for p in s["invariant_basis"]),
+        )
+        for s in data["classes"]
+    )
+    return HHReport(
+        group=data["group"],
+        sectors=sectors,
+        identity_dimension_vector=tuple(data["identity_dimension_vector"]),
+        total_dim=data["total_dim"],
+    )

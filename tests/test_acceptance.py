@@ -17,11 +17,11 @@ import pytest
 from lgorb import linalg
 from lgorb.catalog import CATALOG_KEYS, catalog_group, expected
 from lgorb.exactnum import CycNum
-from lgorb.jacobian import normal_form, quotient_basis, residue_pairing
+from lgorb.jacobian import normal_form, quotient_basis
 from lgorb.matgroup import from_elements, generate_closure
 from lgorb.orbifold import build_sector, identity_sector_products, sector_action
 from lgorb.polyring import Poly, hessian, substitute_linear
-from oracles import poly_from_vector, rho
+from oracles import poly_from_vector, residue_pairing, rho, surface_cohomology_dim
 
 
 def record(name: str, ok: bool, detail: str = ""):
@@ -210,8 +210,6 @@ def test_criterion_6_disputed_entry_reported_side_by_side(hh, capsys):
 
 
 def test_criterion_7_every_subgroup_exceeds_surface_dimension(slf, hh, rng):
-    from lgorb.orbifold import surface_cohomology_dim
-
     bound = surface_cohomology_dim(3)
     totals = {}
     for key in CATALOG_KEYS:

@@ -11,9 +11,9 @@ from lgorb.catalog import (
 )
 from lgorb.exactnum import CycNum
 from lgorb.jacobian import jacobian_algebra
-from lgorb.matgroup import fixed_space, groups_conjugate
+from lgorb.matgroup import fixed_space
 from lgorb.polyring import is_quasihomogeneous, substitute_linear
-from oracles import element_order
+from oracles import element_order, groups_conjugate
 
 
 def test_klein_quartic_data():
@@ -64,14 +64,14 @@ def test_group_j_is_the_unique_index_two_subgroup_of_i():
     s4 = catalog_group("i")
     a4 = catalog_group("j")
     assert a4.order == 12
-    a4_set = a4.element_set()
+    a4_set = frozenset(a4.index)
     for m in a4.elements:
         assert m in s4
     # squares of S4 generate exactly this subgroup
     from lgorb.matgroup import generate_closure
 
     squares = generate_closure(list({m * m for m in s4.elements}))
-    assert squares.element_set() == a4_set
+    assert frozenset(squares.index) == a4_set
     # normal of index 2
     for h in s4.elements:
         hinv = h.inverse()

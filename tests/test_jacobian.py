@@ -13,11 +13,15 @@ from lgorb.jacobian import (
     jacobian_algebra,
     normal_form,
     quotient_basis,
-    residue_pairing,
 )
 from lgorb.orbifold import build_sector
 from lgorb.polyring import Poly, WeightSystem, hessian, mon_divides, partial_derivative
-from oracles import dense_normal_form_klein, fixpoint_buchberger, poly_from_vector
+from oracles import (
+    dense_normal_form_klein,
+    fixpoint_buchberger,
+    poly_from_vector,
+    residue_pairing,
+)
 
 KLEIN_BASIS_FAMILY = {
     d: [m for m in iter_product(range(3), repeat=3) if sum(m) == d]

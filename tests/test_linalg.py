@@ -102,6 +102,13 @@ def test_det_4x4_elimination_path():
     assert linalg.det(m) == z
 
 
+def test_empty_det_is_the_unit_of_any_field():
+    for conductor in (1, 7, 28):
+        z = zeta(conductor)
+        assert z * linalg.det([]) == z
+        assert linalg.det([]) * z == z
+
+
 def test_invert_and_solve():
     rng = random.Random(4)
     for _ in range(6):

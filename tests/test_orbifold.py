@@ -5,7 +5,7 @@ import sys
 import pytest
 
 from lgorb import jacobian, linalg, molien, orbifold
-from lgorb.catalog import catalog_group, generator_matrix, word_matrix
+from lgorb.catalog import CATALOG_KEYS, catalog_group, generator_matrix, word_matrix
 from lgorb.errors import (
     CharacterError,
     GradingError,
@@ -17,7 +17,6 @@ from lgorb.exactnum import CycNum, zeta
 from lgorb.jacobian import jacobian_algebra
 from lgorb.matgroup import GMatrix, generate_closure, from_elements
 from lgorb.orbifold import (
-    HHReport,
     _build_sector,
     _DegreeAction,
     build_sector,
@@ -26,16 +25,18 @@ from lgorb.orbifold import (
     invariant_subspace,
     restriction_matrix,
     sector_action,
-    surface_cohomology_dim,
 )
 from lgorb.molien import invariant_degree_dims
 from lgorb.polyring import Poly, WeightSystem
 from oracles import (
     kernel_route,
     pairwise_product_table,
+    read_report,
+    residue_pairing,
     reynolds_image,
     rho,
     substitution_sector_action,
+    surface_cohomology_dim,
 )
 
 
@@ -63,6 +64,14 @@ def test_build_sector_examples(klein):
     identity_sector = build_sector(f, GMatrix.identity(3, 28), w)
     assert identity_sector.fix_dim == 3 and identity_sector.algebra.milnor == 27
     assert identity_sector.algebra.source == f
+
+
+def test_default_weights_share_the_memoized_sector(klein):
+    """build_sector resolves omitted weights to the standard ones before the
+    memo, so the call with them and the call without return one Sector."""
+    f, w = klein
+    g = generator_matrix("T")
+    assert build_sector(f, g) is build_sector(f, g, w)
 
 
 def test_build_sector_rejects_non_symmetry(klein):
@@ -182,7 +191,7 @@ def test_sector_action_matches_substitution_oracle(klein, key, hat, seed):
             h, hinv = group.elements[i], group.elements[inverse[i]]
             expected = substitution_sector_action(h, sector)
             assert sector_action(h, sector) == expected
-            det_hinv = linalg.det(restriction_matrix(hinv, sector)) if sector.fix_dim else 1
+            det_hinv = linalg.det(restriction_matrix(hinv, sector))
             assert rho(h, g) == h.det * det_hinv
             pairs += 1
     assert pairs > 0
@@ -308,6 +317,32 @@ def test_identity_vector_palindromic_for_catalog(klein, hh):
         assert vec == tuple(reversed(vec))
 
 
+def test_invariants_pair_nondegenerately_across_complementary_degrees(klein, hh):
+    """Every admissible h has det h = +/-1, so the residue pairing is
+    Z(g)-invariant on each sector.  It then pairs the degree-n invariants
+    with the degree-(top - n) invariants nondegenerately: on every class of
+    the catalog groups and their hats, the degree dimensions are
+    palindromic and each such Gram block has full rank."""
+    f, w = klein
+    classes = blocks = 0
+    for key in CATALOG_KEYS:
+        for hat in (False, True):
+            for s in hh.report(catalog_group(key, hat=hat)).sectors:
+                dims = s.degree_dims
+                assert dims == dims[::-1], (key, hat, s.rep_index)
+                algebra = build_sector(f, s.rep_matrix, w).algebra
+                ends = [sum(dims[: n + 1]) for n in range(len(dims))]
+                by_degree = [s.invariant_basis[end - d : end] for d, end in zip(dims, ends)]
+                half = by_degree[: (len(dims) + 1) // 2]  # the pairing is symmetric
+                for low, high in zip(half, reversed(by_degree)):
+                    if low:
+                        gram = [[residue_pairing(u, v, algebra) for v in high] for u in low]
+                        assert linalg.rank(gram) == len(low), (key, hat, s.rep_index)
+                        blocks += 1
+                classes += 1
+    assert (classes, blocks) == (144, 120)
+
+
 def test_every_catalog_restriction_is_a_homogeneous_quartic(klein):
     from lgorb.polyring import WeightSystem, is_quasihomogeneous
 
@@ -412,6 +447,8 @@ def test_point_sector_has_the_empty_weight_system(klein):
     assert sector.algebra.weights.weights == ()
     assert sector.algebra.milnor == 1
     assert sector.algebra.hessian_class == (CycNum.one(f.conductor),)
+    for h in (generator_matrix("S"), -generator_matrix("S")):
+        assert sector_action(h, sector) == ((h.det,),)
 
 
 def _klein_e_hat_case(klein, _fermat):
@@ -489,7 +526,7 @@ def test_report_json_roundtrip(klein):
     report = compute_hh(f, catalog_group("e"), w)
 
     data = json.loads(json.dumps(report.to_dict()))
-    assert HHReport.from_dict(data) == report
+    assert read_report(data) == report
 
 
 _REPORT_DIGESTS = {

@@ -1,14 +1,17 @@
 """The package as a whole: its exported names, and no floating point.
 
-The float check reads every module of the installed `lgorb` package with
-`ast`, so it sees the source as written and imports nothing but the
-package itself.
+The float check and the export-use check read every module of the
+installed `lgorb` package with `ast`, so they see the source as written
+and import nothing but the package itself.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import lgorb
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 # math functions that take and return integers only
 INTEGER_MATH = frozenset({"comb", "factorial", "gcd", "isqrt", "lcm", "perm"})
@@ -20,6 +23,61 @@ def test_star_import_resolves_every_exported_name():
     missing = [name for name in lgorb.__all__ if name not in namespace]
     assert missing == []
     assert len(set(lgorb.__all__)) == len(lgorb.__all__)
+
+
+def _names_used(tree: ast.AST) -> set[str]:
+    """Names read in a module as a name, an attribute or an import alias,
+    except inside the definition of a function or class of that name;
+    names only assigned to are not read."""
+    used = set()
+
+    def visit(node, defining):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defining = defining | {node.name}
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            used.update({node.id} - defining)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            used.update({node.attr} - defining)
+        elif isinstance(node, ast.alias):
+            used.update({node.name.rpartition(".")[2]} - defining)
+        for child in ast.iter_child_nodes(node):
+            visit(child, defining)
+
+    visit(tree, frozenset())
+    return used
+
+
+def test_every_exported_name_has_a_user():
+    """Each name in lgorb.__all__ is used by the package outside its own
+    definition and __init__.py, or named by the benchmark, which refers to
+    its targets as strings."""
+    package = Path(lgorb.__file__).parent
+    used = set()
+    for path in package.glob("*.py"):
+        if path.name != "__init__.py":
+            used |= _names_used(ast.parse(path.read_text(encoding="utf-8")))
+    bench = "\n".join(p.read_text(encoding="utf-8") for p in sorted(PERFBENCH.glob("*.py")))
+    unused = [
+        name
+        for name in lgorb.__all__
+        if name not in used and not re.search(rf"\b{name}\b", bench)
+    ]
+    assert unused == []
+
+
+def test_export_use_check_skips_a_name_inside_its_own_definition():
+    source = """
+import lgorb.jacobian as jac
+from lgorb.matgroup import hat_extend
+def recurse(n):
+    return recurse(n - 1)
+class Node:
+    def child(self):
+        return Node()
+value = jac.normal_form
+"""
+    used = _names_used(ast.parse(source))
+    assert used == {"jacobian", "hat_extend", "n", "jac", "normal_form"}
 
 
 def _float_uses(tree: ast.AST) -> list[tuple[int, str]]:

@@ -12,8 +12,8 @@ from lgorb import cli
 from lgorb.catalog import generator_matrix, word_matrix
 from lgorb.exactnum import CycNum, zeta
 from lgorb.errors import GradingError, WordParseError
-from lgorb.orbifold import HHReport
 from lgorb.words import GeneratorWord, parse_word
+from oracles import read_report
 
 
 def test_parse_word_examples():
@@ -75,7 +75,7 @@ def test_cli_compute_slf_json(capsys):
     )
     payload = json.loads(capsys.readouterr().out)
     assert payload["total_dim"] == 11
-    restored = HHReport.from_dict(payload)
+    restored = read_report(payload)
     assert restored.total_dim == 11
     assert restored.identity_dimension_vector == (1, 0, 0, 0, 0, 0, 1)
 
