@@ -13,6 +13,8 @@ multiples (for n = 28, x^14 = -1 makes most rows a single pair).
 into one integer list over the common denominator of the products, which
 is then reduced once and normalized once.  Because values are canonical,
 its result is the one a fold of `mul` and `add` gives, byte for byte.
+`add_many` is the fused sum of values already multiplied: the numerators
+accumulate over the least common denominator and are normalized once.
 
 `lgorb.exactnum` calls them as `_kernels.mul(...)` and so on, through the
 module, so that wrapping a module attribute sees every call.
@@ -47,6 +49,17 @@ def add(an, ad, bn, bd):
     fa = bd // g
     fb = ad // g
     return normalize([x * fa + y * fb for x, y in zip(an, bn)], ad // g * bd)
+
+
+def add_many(values):
+    """Sum of a sequence of two or more (nums, den) values with a single
+    normalization pass."""
+    den = 1
+    for _, d in values:
+        if den % d:
+            den = den // gcd(den, d) * d
+    scaled = [nums if d == den else [v * (den // d) for v in nums] for nums, d in values]
+    return normalize(list(map(sum, zip(*scaled))), den)
 
 
 def _convolve(conv, an, bn, scale=1):

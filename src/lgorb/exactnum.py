@@ -6,11 +6,14 @@ numerator vectors over a common positive denominator.  Equality is
 therefore structural and hashing is sound.  Rational numbers are the
 conductor-1 case; `fractions.Fraction` is the scalar type throughout.
 
-Arithmetic runs in `lgorb._kernels`.  Sums of products (matrix entries,
-determinant cofactors, fixed-locus restrictions) go through `CycNum.dot`,
-which reduces and normalizes once per sum instead of once per product; the
-per-conductor reduction rows are kept sparse, so multiplying skips the
-zero coefficients of Phi_n's rows and of the second operand.
+Arithmetic runs in `lgorb._kernels`.  Sums of products (determinant
+cofactors, fixed-locus restrictions, products of algebra classes) go
+through `CycNum.dot`, which reduces and normalizes once per sum instead of
+once per product; the per-conductor reduction rows are kept sparse, so
+multiplying skips the zero coefficients of Phi_n's rows and of the second
+operand.  A sum of values already multiplied, such as a matrix entry whose
+terms come from `lgorb.matgroup`'s table of entry products, goes through
+`CycNum.add_many`, which normalizes once per sum.
 
 Inverses work in the value's own subfield.  When p^2 divides n,
 Phi_n(x) = Phi_(n/p)(x^p), so a value of Q(zeta_n) whose nonzero
@@ -350,6 +353,23 @@ class CycNum:
         nums, den = _kernels.dot(terms, _field(n).mul_rows())
         return CycNum(n, nums, den, _canonical=True)
 
+    @staticmethod
+    def add_many(values) -> "CycNum":
+        """sum(values) for two or more values of one conductor, fused: one
+        pass over the least common denominator and one normalization.  The
+        value is canonical, so it equals the fold of + exactly.  Fewer than
+        two values raise ShapeError, mixed conductors ConductorMismatchError."""
+        if len(values) < 2:
+            raise ShapeError(f"add_many needs at least two values, got {len(values)}")
+        n = values[0].conductor
+        raw = []
+        for v in values:
+            if v.conductor != n:
+                raise ConductorMismatchError(f"conductor mismatch: {n} vs {v.conductor}")
+            raw.append((v.nums, v.den))
+        nums, den = _kernels.add_many(raw)
+        return CycNum(n, nums, den, _canonical=True)
+
     def inverse(self) -> "CycNum":
         """Multiplicative inverse: fast paths for rationals and for rational
         multiples of basis powers, otherwise fraction-free integer
@@ -426,10 +446,13 @@ class CycNum:
         return CycNum(m, out, self.den)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
-            other = CycNum.from_rational(other, self.conductor)
-        if not isinstance(other, CycNum):
-            return NotImplemented
+        if other is self:
+            return True
+        if type(other) is not CycNum:
+            if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
+                other = CycNum.from_rational(other, self.conductor)
+            elif not isinstance(other, CycNum):
+                return NotImplemented
         return (
             self.conductor == other.conductor
             and self.den == other.den

@@ -11,11 +11,25 @@ classes, centralizers, subgroup generators and the -id extension) comes
 from those integer tables, as in the permutation-group representation of
 Holt, Eick and O'Brien, Handbook of Computational Group Theory (2005),
 ch. 4: no matrix is multiplied or inverted after closure.
+
+Matrix entries are interned: `GMatrix` keeps one canonical object per
+entry value (`_entry`), and `GMatrix.__mul__` reads each nonzero term a*b
+from a table of entry products keyed by the canonical pair
+(`_entry_product`), so a field product is computed the first time its
+pair is seen.  The 336 matrices of the largest catalog group use 57
+distinct entries, so closures, conjugations and generator tables repeat a
+few hundred entry products instead of computing thousands.  Both tables
+are `functools.lru_cache` memos that live for the whole process; their
+memory grows with the distinct entry values and the entry pairs
+multiplied.  Clearing either table costs speed only: values stay
+canonical, and an entry interned before the clear (a zero included) is
+multiplied as an ordinary term.
 """
 
 from __future__ import annotations
 
 import warnings
+from functools import lru_cache
 from typing import Optional, Sequence
 
 from lgorb import linalg
@@ -25,13 +39,29 @@ from lgorb.exactnum import CycNum
 DEFAULT_CLOSURE_CAP = 2048
 
 
+@lru_cache(maxsize=None)
+def _entry(value: CycNum) -> CycNum:
+    """The canonical object of an entry value: the first equal value the
+    process interned.  Memory grows with the distinct entry values."""
+    return value
+
+
+@lru_cache(maxsize=None)
+def _entry_product(a: CycNum, b: CycNum) -> CycNum:
+    """The interned product of two interned entries, computed by
+    `CycNum.__mul__` the first time the pair is seen.  Memory grows with
+    the entry pairs multiplied."""
+    return _entry(a * b)
+
+
 class GMatrix:
     """An invertible square matrix of CycNum entries, immutable.
 
     The determinant is computed on first access and cached; products of
     group elements are never singular, so construction stays cheap.
     Explicit inputs are validated where they enter (generate_closure,
-    inverse).
+    inverse).  Entries are stored interned (`_entry`): equal entries of
+    any matrices are one object.
     """
 
     __slots__ = ("n", "conductor", "rows", "_det", "_hash")
@@ -46,11 +76,16 @@ class GMatrix:
         conductor = rows[0][0].conductor
         if any(e.conductor != conductor for row in rows for e in row):
             raise ShapeError("mixed conductors in one matrix")
-        object.__setattr__(self, "n", n)
+        self._set(tuple(tuple(map(_entry, row)) for row in rows), conductor, _det)
+
+    def _set(self, rows: tuple, conductor: int, det: CycNum | None) -> "GMatrix":
+        """Store square tuples of interned entries of one conductor."""
+        object.__setattr__(self, "n", len(rows))
         object.__setattr__(self, "conductor", conductor)
         object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "_det", _det)
+        object.__setattr__(self, "_det", det)
         object.__setattr__(self, "_hash", None)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("GMatrix is immutable")
@@ -85,38 +120,30 @@ class GMatrix:
         )
 
     def __mul__(self, other: "GMatrix") -> "GMatrix":
-        """The product, each entry summed over its nonzero terms only: no
-        term gives zero, one term a single product (or the other factor
-        itself when one factor is 1), more terms one fused `CycNum.dot`.
-        Values are canonical, so every entry equals the dense sum exactly;
-        products by permutation, diagonal and monomial matrices cost no
-        field arithmetic beyond their nonzero entries."""
+        """The product, each entry summed over its nonzero terms only, each
+        term read from the table of entry products (`_entry_product`): no
+        term gives zero, one term that term, more terms one fused
+        `CycNum.add_many`.  Values are canonical, so every entry equals the
+        dense `CycNum.dot` exactly; products by permutation, diagonal and
+        monomial matrices cost no field arithmetic beyond table lookups."""
         if not isinstance(other, GMatrix):
             return NotImplemented
         if self.n != other.n or self.conductor != other.conductor:
             raise ShapeError("incompatible matrices")
-        cols = [[(k, b) for k, b in enumerate(col) if b] for col in zip(*other.rows)]
-        zero = CycNum.zero(self.conductor)
-        dot = CycNum.dot
+        zero = _entry(CycNum.zero(self.conductor))  # entries are interned
+        cols = [[(k, b) for k, b in enumerate(col) if b is not zero] for col in zip(*other.rows)]
+        product, add_many = _entry_product, CycNum.add_many
         out = []
         for row in self.rows:
             entries = []
             for col in cols:
-                left, right = [], []
-                for k, b in col:
-                    a = row[k]
-                    if a:
-                        left.append(a)
-                        right.append(b)
-                if not left:
-                    entries.append(zero)
-                elif len(left) > 1:
-                    entries.append(dot(left, right))
-                else:
-                    a, b = left[0], right[0]
-                    entries.append(b if a.is_one() else a if b.is_one() else a * b)
-            out.append(entries)
-        return GMatrix(out)
+                terms = [product(row[k], b) for k, b in col if row[k] is not zero]
+                entries.append(
+                    _entry(add_many(terms)) if len(terms) > 1 else terms[0] if terms else zero
+                )
+            out.append(tuple(entries))
+        # every entry is interned already, so __init__'s checks are skipped
+        return object.__new__(GMatrix)._set(tuple(out), self.conductor, None)
 
     def __neg__(self) -> "GMatrix":
         return GMatrix([[-e for e in row] for row in self.rows])

@@ -136,7 +136,9 @@ def invariant_degree_dims(
     """Dimension of the Z(g)-invariants of the sector in each weighted
     degree 0..top, Z(g) given by its element indices and generators.
 
-    Raises CharacterError unless every average is a non-negative integer."""
+    Raises CharacterError unless every average is a non-negative integer
+    and the dimensions read the same from degree top down: the residue
+    pairing of an admissible group pairs degree n with degree top - n."""
     algebra = sector.algebra
     top = algebra.top_degree()
     weights = algebra.weights
@@ -159,4 +161,8 @@ def invariant_degree_dims(
                 "is not a non-negative integer"
             )
         dims.append(int(q))
+    if dims != dims[::-1]:
+        raise CharacterError(
+            f"invariant dimensions {tuple(dims)} by degree 0..{top} are not palindromic"
+        )
     return tuple(dims)

@@ -352,19 +352,23 @@ def compose_linear(p: Poly, columns: Sequence[Sequence[CycNum]]) -> Poly:
         lin.append(Poly(k, terms, conductor))
     powers: list[dict[int, Poly]] = [dict() for _ in range(n)]
 
-    def lin_pow(i: int, e: int) -> Poly:
+    def lin_pow(i: int, e: int) -> Poly:  # e >= 1
         cached = powers[i].get(e)
         if cached is None:
-            cached = Poly.constant(1, k, conductor) if e == 0 else lin_pow(i, e - 1) * lin[i]
+            cached = lin[i] if e == 1 else lin_pow(i, e - 1) * lin[i]
             powers[i][e] = cached
         return cached
 
     out = Poly.zero(k, conductor)
     for mon, coeff in p.terms.items():
-        img = Poly.constant(coeff, k, conductor)
+        img = None
         for i, e in enumerate(mon):
-            if e and img:
-                img = img * lin_pow(i, e)
+            if e:
+                img = lin_pow(i, e) if img is None else img * lin_pow(i, e)
+        if img is None:
+            img = Poly.constant(coeff, k, conductor)
+        elif not coeff.is_one():
+            img = img.scale(coeff)
         out = out + img
     return out
 

@@ -283,6 +283,39 @@ def test_dot_kernel_matches_dense_route(conductor):
     assert _kernels.dot(all_zero, rows) == zero
 
 
+@pytest.mark.parametrize("conductor", KERNEL_CONDUCTORS)
+def test_add_many_kernel_matches_fraction_sums(conductor):
+    rng = random.Random(5250 + conductor)
+    values = _raw_operands(rng, conductor)
+    for length in (2, 2, 3, 5, 9) * 6:
+        terms = [rng.choice(values) for _ in range(length)]
+        expected = [sum(Fraction(nums[i], den) for nums, den in terms) for i in range(len(terms[0][0]))]
+        assert _kernels.add_many(terms) == fraction_canonical(expected)
+    a = rng.choice(values[1:])
+    assert _kernels.add_many([a, (tuple(-v for v in a[0]), a[1])]) == values[0]
+
+
+def test_add_many_rejects_short_and_mixed_inputs():
+    a7, a28 = 1 + zeta(7), 1 + zeta(28)
+    for values in ([], [a28]):
+        with pytest.raises(ShapeError):
+            CycNum.add_many(values)
+    with pytest.raises(ConductorMismatchError):
+        CycNum.add_many([a28, a7])
+
+
+def test_equality_against_rationals_and_bools():
+    """== answers by value against an int and a Fraction, never equals a
+    bool, and defers to the other operand for any other type."""
+    one, half, z = CycNum.one(28), CycNum.from_rational(Fraction(1, 2), 28), zeta(28)
+    assert one == 1 and 1 == one and one != 2 and z != 1
+    assert half == Fraction(1, 2) and Fraction(1, 2) == half and half != Fraction(1, 3)
+    assert one != True and True != one and CycNum.zero(28) != False
+    assert one == one and one == CycNum.one(28) and one != CycNum.one(7)
+    assert zeta(7) != zeta(28, 4)
+    assert one.__eq__("1") is NotImplemented and one.__eq__(1.0) is NotImplemented
+
+
 @pytest.mark.parametrize("p", [3, 7])
 def test_kernels_match_root_of_unity_expansion(p):
     """For prime p the power basis is zeta^0 .. zeta^(p-2); products of
@@ -341,11 +374,12 @@ def test_dot_rejects_empty_and_unequal_lengths():
 def test_arithmetic_calls_through_the_kernel_module(monkeypatch):
     """CycNum reaches the field kernels through the module attributes of
     `lgorb._kernels`, so wrapping them (as the benchmark's counting pass
-    does) sees every +, *, addmul and dot."""
+    does) sees every +, *, addmul, dot and add_many."""
     import lgorb
+    from lgorb import matgroup
     from lgorb.matgroup import GMatrix
 
-    calls = {"add": 0, "mul": 0, "addmul": 0, "dot": 0}
+    calls = {"add": 0, "mul": 0, "addmul": 0, "dot": 0, "add_many": 0}
     for name in calls:
         real = getattr(_kernels, name)
 
@@ -355,16 +389,24 @@ def test_arithmetic_calls_through_the_kernel_module(monkeypatch):
 
         monkeypatch.setattr(_kernels, name, counted)
     a, b, c = zeta(28, 3) + Fraction(1, 2), zeta(28, 5) * 3, zeta(28, 11)
-    assert calls == {"add": 1, "mul": 1, "addmul": 0, "dot": 0}
+    assert calls == {"add": 1, "mul": 1, "addmul": 0, "dot": 0, "add_many": 0}
     assert a + b == b + a
     assert calls["add"] == 3
     assert a * b == b * a
     assert calls["mul"] == 3
     assert a.addmul(b, c) == a + b * c
-    assert calls == {"add": 4, "mul": 4, "addmul": 1, "dot": 0}
+    assert calls == {"add": 4, "mul": 4, "addmul": 1, "dot": 0, "add_many": 0}
     assert CycNum.dot([a, b], [c, a]) == a * c + b * a
-    assert calls == {"add": 5, "mul": 6, "addmul": 1, "dot": 1}
+    assert calls == {"add": 5, "mul": 6, "addmul": 1, "dot": 1, "add_many": 0}
+    assert CycNum.add_many([a, b, c]) == a + b + c
+    assert calls == {"add": 7, "mul": 6, "addmul": 1, "dot": 1, "add_many": 1}
+    # m * m has 8 terms over 7 distinct entry pairs and 4 entries of two
+    # terms; with the product table cold each pair is one kernel product,
+    # and once it is warm only the 4 sums reach the kernels.
+    matgroup._entry_product.cache_clear()
     m = GMatrix([[a, b], [c, a]])
     m * m
-    assert calls == {"add": 5, "mul": 6, "addmul": 1, "dot": 5}
+    assert calls == {"add": 7, "mul": 13, "addmul": 1, "dot": 1, "add_many": 5}
+    m * m
+    assert calls == {"add": 7, "mul": 13, "addmul": 1, "dot": 1, "add_many": 9}
     assert lgorb.kernel_backend == "pure"

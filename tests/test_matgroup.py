@@ -1,12 +1,13 @@
 import json
 import random
 import warnings
+from fractions import Fraction
 
 import pytest
 
 import oracles
-from lgorb import linalg
-from lgorb.catalog import CATALOG_KEYS, catalog_group, generator_matrix, word_matrix
+from lgorb import linalg, matgroup
+from lgorb.catalog import CATALOG_KEYS, catalog_entry, catalog_group, generator_matrix, word_matrix
 from lgorb.errors import ClosureCapExceededError, SingularMatrixError
 from lgorb.exactnum import CycNum, zeta
 from lgorb.matgroup import (
@@ -343,7 +344,8 @@ def test_hat_extend_matches_closure_with_minus_identity(key):
 
 def _shape_family(rng, n, conductor):
     """Permutation, diagonal, signed-monomial and dense matrices over
-    Q(zeta_conductor), with entries 1 and -1 among the general ones."""
+    Q(zeta_conductor), with entries 1 and -1 among the general ones and
+    zeros and mixed denominators among the dense ones."""
     one, zero = CycNum.one(conductor), CycNum.zero(conductor)
 
     def entry():
@@ -360,18 +362,54 @@ def _shape_family(rng, n, conductor):
         family.append(GMatrix.diagonal([entry() for _ in range(n)]))
         family.append(monomial([rng.choice([one, -one]) * entry() for _ in range(n)]))
         family.append(GMatrix([[entry() + rng.randint(0, 2) for _ in range(n)] for _ in range(n)]))
+        family.append(GMatrix([
+            [rng.choice([zero, entry() * Fraction(rng.randint(1, 4), rng.randint(2, 9)) + entry()])
+             for _ in range(n)]
+            for _ in range(n)
+        ]))
     return family
+
+
+def _clear_entry_tables():
+    matgroup._entry.cache_clear()
+    matgroup._entry_product.cache_clear()
 
 
 @pytest.mark.parametrize("conductor", [7, 28])
 def test_gmatrix_products_match_dense_dot_oracle(conductor):
     """Every entry of a product equals the dot over all terms, zeros
-    included, for every pair of shapes, and so does the product's hash."""
+    included, for every pair of shapes, and so does the product's hash,
+    with the tables of entries and entry products cold and then warm.
+    Every entry is interned, and the warm pass computes no entry product."""
     rng = random.Random(6600 + conductor)
+    _clear_entry_tables()
     family = _shape_family(rng, 3, conductor)
-    for a in family:
-        for b in family:
-            product = a * b
-            expected = oracles.dense_matmul(a.rows, b.rows)
-            assert product.rows == expected
-            assert hash(product) == hash(GMatrix(expected))
+    entries = [e for m in family for row in m.rows for e in row]
+    assert any(e.is_zero() for e in entries) and any(e.is_one() for e in entries)
+    assert len({e.den for e in entries}) > 2
+    for warm in (False, True):
+        misses = matgroup._entry_product.cache_info().misses
+        for a in family:
+            for b in family:
+                product = a * b
+                expected = oracles.dense_matmul(a.rows, b.rows)
+                assert product.rows == expected
+                assert hash(product) == hash(GMatrix(expected))
+                assert all(e is matgroup._entry(e) for row in product.rows for e in row)
+        if warm:
+            assert matgroup._entry_product.cache_info().misses == misses
+
+
+def test_slf_closure_does_not_depend_on_the_entry_tables():
+    """Closing slf with the tables cleared and warm gives the same elements,
+    words and generator tables."""
+    words = list(catalog_entry("slf").generator_words)
+    closures = []
+    for clear in (True, False):
+        if clear:
+            _clear_entry_tables()
+        closures.append(generate_closure([word_matrix(w) for w in words], words=words))
+    cold, warm = closures
+    assert cold.elements == warm.elements
+    assert cold.words == warm.words
+    assert cold.generator_tables == warm.generator_tables

@@ -4,8 +4,8 @@ import sys
 
 import pytest
 
-from lgorb import jacobian, linalg, molien, orbifold
-from lgorb.catalog import CATALOG_KEYS, catalog_group, generator_matrix, word_matrix
+from lgorb import jacobian, linalg, matgroup, molien, orbifold
+from lgorb.catalog import CATALOG_KEYS, catalog_entry, catalog_group, generator_matrix, word_matrix
 from lgorb.errors import (
     CharacterError,
     GradingError,
@@ -15,7 +15,7 @@ from lgorb.errors import (
 )
 from lgorb.exactnum import CycNum, zeta
 from lgorb.jacobian import jacobian_algebra
-from lgorb.matgroup import GMatrix, generate_closure, from_elements
+from lgorb.matgroup import GMatrix, from_elements, generate_closure, hat_extend
 from lgorb.orbifold import (
     _build_sector,
     _DegreeAction,
@@ -667,6 +667,22 @@ def test_character_average_must_be_a_non_negative_integer(klein):
         invariant_degree_dims(group, sector, (0, 1), [])
 
 
+def test_invariant_dimensions_must_be_palindromic(klein):
+    """The residue pairing pairs degree n with degree top - n for an
+    admissible group.  The grading operator j_f = diag(i, i, i) has
+    determinant -i, so its invariants in the identity sector are
+    (1, 0, 0, 0, 6, 0, 0), which the check rejects; compute_hh rejects
+    j_f earlier, by its determinant."""
+    f, w = klein
+    group = generate_closure([generator_matrix("j_f")])
+    sector = _build_sector(f, group.elements[0], w)
+    message = r"^invariant dimensions \(1, 0, 0, 0, 6, 0, 0\) by degree 0..6 are not palindromic$"
+    with pytest.raises(CharacterError, match=message):
+        invariant_degree_dims(group, sector, tuple(range(group.order)), group.generator_indices)
+    with pytest.raises(InadmissibleGroupError, match=r"determinant -z28\^7, not \+/-1$"):
+        compute_hh(f, group, w)
+
+
 def test_kernel_dimension_must_match_the_characters(klein, monkeypatch):
     """A block whose predicted dimension no kernel confirms raises: one
     invariant too many in degree 2 of catalog d's identity sector, where
@@ -687,25 +703,36 @@ def test_kernel_dimension_must_match_the_characters(klein, monkeypatch):
         compute_hh(f, group, w)
 
 
-_MEMOS = ("orbifold._build_sector", "orbifold._preserves", "molien._trace_series")
+_MEMOS = (
+    "orbifold._build_sector",
+    "orbifold._preserves",
+    "molien._trace_series",
+    "matgroup._entry",
+    "matgroup._entry_product",
+)
 
 
 def _memo(name):
     module, attr = name.split(".")
-    return getattr({"orbifold": orbifold, "molien": molien}[module], attr)
+    return getattr({"orbifold": orbifold, "molien": molien, "matgroup": matgroup}[module], attr)
 
 
 @pytest.mark.parametrize("memo", _MEMOS)
 @pytest.mark.parametrize("how", ["e^", "e@301"])
 def test_reports_do_not_depend_on_the_memos(klein, memo, how):
     """A report computed with the memo cleared, with it warm, and with it
-    cleared again is the same report, byte for byte."""
+    cleared again is the same report, byte for byte.  The group is built
+    anew each time, so the matrix-entry tables are read as well."""
     f, w = klein
-    group = catalog_group("e", hat=True) if how == "e^" else _dense_conjugate("e", 301)
+    words = list(catalog_entry("e").generator_words)
     blobs, hits = [], []
     for clear in (True, False, True):
         if clear:
             _memo(memo).cache_clear()
+        if how == "e^":
+            group = hat_extend(generate_closure([word_matrix(x) for x in words], words=words))
+        else:
+            group = _dense_conjugate("e", 301)
         blobs.append(json.dumps(compute_hh(f, group, w).to_dict(), sort_keys=True))
         hits.append(_memo(memo).cache_info().hits)
     assert blobs[0] == blobs[1] == blobs[2]
