@@ -124,9 +124,12 @@ def _resolve_group(spec: str, hat_flag: bool) -> tuple[FiniteMatrixGroup, str]:
     if spec.startswith("file:"):
         path = spec.split(":", 1)[1]
         group, file_hat = _load_group_file(path)
-        if hat_flag or file_hat:
+        hat = hat_flag or file_hat
+        if hat and -GMatrix.identity(group.n, group.conductor) in group.index:
+            sys.stderr.write("warning: -id already present; group used unchanged\n")
+        elif hat:
             group = hat_extend(group)
-        return group, f"file:{os.path.basename(path)}" + ("^" if hat_flag or file_hat else "")
+        return group, f"file:{os.path.basename(path)}" + ("^" if hat else "")
     raise InputError(f"group spec must be catalog:<key> or file:<path>, got {spec!r}")
 
 

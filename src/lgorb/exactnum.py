@@ -30,6 +30,7 @@ instances can be shared freely across threads.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, isqrt
 
 from lgorb import _kernels
@@ -67,20 +68,14 @@ def _polydiv_exact(num: list[int], den: list[int]) -> list[int]:
     return out
 
 
-_CYCLO_CACHE: dict[int, tuple[int, ...]] = {}
-
-
+@lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     """Integer coefficients of Phi_n, constant term first; degree phi(n)."""
-    if n in _CYCLO_CACHE:
-        return _CYCLO_CACHE[n]
     poly = [-1] + [0] * (n - 1) + [1]  # x^n - 1
     for d in range(1, n):
         if n % d == 0:
             poly = _polydiv_exact(poly, list(cyclotomic_polynomial(d)))
-    result = tuple(poly)
-    _CYCLO_CACHE[n] = result
-    return result
+    return tuple(poly)
 
 
 class _Field:
@@ -121,9 +116,6 @@ class _Field:
         return sparse
 
 
-_FIELDS: dict[int, _Field] = {}
-
-
 def _exact_rational(value) -> int | Fraction:
     """value itself if it is an int (not a bool) or a Fraction; TypeError
     naming it otherwise, so that a float's binary expansion never enters
@@ -133,12 +125,9 @@ def _exact_rational(value) -> int | Fraction:
     return value
 
 
+@lru_cache(maxsize=None)
 def _field(n: int) -> _Field:
-    f = _FIELDS.get(n)
-    if f is None:
-        f = _Field(n)
-        _FIELDS[n] = f
-    return f
+    return _Field(n)
 
 
 def _subfield(n: int, nums: tuple[int, ...]) -> tuple[int, tuple[int, ...], int]:

@@ -1,12 +1,12 @@
 """Exact Gaussian elimination over cyclotomic fields.
 
-Matrices are lists of rows of CycNum.  Pivoting always takes the first
-nonzero entry in column order (no magnitude heuristics are needed with
-exact arithmetic), so every result is deterministic.  In `rref`, scaling
-the pivot row and clearing its column touch only the pivot row's nonzero
-entries, which start at the pivot column: values are canonical, so adding
-a multiple of zero would leave an entry exactly as it is.  The row updates
-of `kernel_form_basis` skip zero entries of the row they add the same way.
+Matrices are lists of rows of CycNum.  Every elimination inserts rows one
+at a time with `_insert`, which keeps the rows seen so far in reduced row
+echelon form, pivoting at the first nonzero entry in column order (no
+magnitude heuristics are needed with exact arithmetic).  That form depends
+only on the span of the rows, so every result is deterministic.  Row
+updates touch only the nonzero entries of the row being added: values are
+canonical, so adding a multiple of zero would leave an entry as it is.
 """
 
 from __future__ import annotations
@@ -23,39 +23,43 @@ def _as_rows(matrix) -> list[list[CycNum]]:
     return [list(row) for row in matrix]
 
 
-def rref(matrix, pivot_columns: int | None = None) -> tuple[list[list[CycNum]], list[int]]:
-    """Reduced row echelon form; returns (rows, pivot column indices).
+def _insert(
+    reduced: dict[int, list[CycNum]], row: list[CycNum], width: int
+) -> tuple[int | None, list[CycNum]]:
+    """Reduce `row` against `reduced` (pivot column -> reduced row) and
+    return (pivot, row) with the row as reduced, before any scaling.
 
-    With `pivot_columns` set, pivots are sought only among the first that
-    many columns; the remaining columns are carried along by the row
-    operations (an augmented matrix)."""
-    rows = _as_rows(matrix)
-    if not rows:
-        return [], []
-    width = len(rows[0])
-    ncols = width if pivot_columns is None else pivot_columns
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        prow = rows[r]
-        support = [k for k in range(c, width) if prow[k]]
-        inv = prow[c].inverse()
-        for k in support:
-            prow[k] = prow[k] * inv
-        for i, row in enumerate(rows):
-            if i != r and row[c]:
-                factor = -row[c]
-                for k in support:
-                    row[k] = row[k].addmul(factor, prow[k])
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows, pivots
+    If the row has a nonzero entry among its first `width`, the first one
+    is its pivot: the row is scaled to 1 there, that column is cleared from
+    the stored rows and the row is stored.  Otherwise the pivot is None and
+    nothing is stored."""
+    for p, prow in reduced.items():
+        if row[p]:
+            factor = -row[p]
+            row = [a.addmul(factor, b) if b else a for a, b in zip(row, prow)]
+    pivot = next((c for c in range(width) if row[c]), None)
+    if pivot is not None:
+        inv = row[pivot].inverse()
+        new = [x * inv if x else x for x in row]
+        for q, qrow in reduced.items():
+            if qrow[pivot]:
+                factor = -qrow[pivot]
+                reduced[q] = [a.addmul(factor, b) if b else a for a, b in zip(qrow, new)]
+        reduced[pivot] = new
+    return pivot, row
+
+
+def rref(matrix) -> tuple[list[list[CycNum]], list[int]]:
+    """Reduced row echelon form; returns (rows, pivot column indices): the
+    pivot rows by pivot column, then the zero rows."""
+    reduced: dict[int, list[CycNum]] = {}
+    zero_rows = []
+    for row in _as_rows(matrix):
+        pivot, rest = _insert(reduced, row, len(row))
+        if pivot is None:
+            zero_rows.append(rest)
+    pivots = sorted(reduced)
+    return [reduced[p] for p in pivots] + zero_rows, pivots
 
 
 def rank(matrix) -> int:
@@ -75,17 +79,17 @@ def kernel_basis_with_free(matrix) -> tuple[list[Vector], list[int]]:
         return [], []
     ncols = len(rows[0])
     reduced, pivots = rref(rows)
-    pivot_of_col = {c: i for i, c in enumerate(pivots)}
+    pivot_rows = dict(zip(pivots, reduced))
     conductor = rows[0][0].conductor
     zero, one = CycNum.zero(conductor), CycNum.one(conductor)
     basis = []
-    free = [j for j in range(ncols) if j not in pivot_of_col]
+    free = [j for j in range(ncols) if j not in pivot_rows]
     for j in free:
         vec = [zero] * ncols
         vec[j] = one
-        for c, i in pivot_of_col.items():
-            if reduced[i][j]:
-                vec[c] = -reduced[i][j]
+        for c, prow in pivot_rows.items():
+            if prow[j]:
+                vec[c] = -prow[j]
         basis.append(tuple(vec))
     return basis, free
 
@@ -99,21 +103,7 @@ def kernel_form_basis(vectors: Iterable[Vector], stop: int | None = None) -> lis
     lazily, and reading stops once `stop` independent ones have been seen."""
     rows: dict[int, list[CycNum]] = {}  # reversed pivot -> reversed, reduced row
     for vec in vectors:
-        v = list(reversed(vec))
-        for p, row in rows.items():
-            if v[p]:
-                factor = -v[p]
-                v = [a.addmul(factor, b) if b else a for a, b in zip(v, row)]
-        p = next((i for i, x in enumerate(v) if x), None)
-        if p is None:
-            continue
-        inv = v[p].inverse()
-        v = [x * inv for x in v]
-        for q, row in rows.items():
-            if row[p]:
-                factor = -row[p]
-                rows[q] = [a.addmul(factor, b) if b else a for a, b in zip(row, v)]
-        rows[p] = v
+        _insert(rows, list(reversed(vec)), len(vec))
         if len(rows) == stop:
             break
     return [tuple(reversed(rows[p])) for p in sorted(rows, reverse=True)]
@@ -122,7 +112,10 @@ def kernel_form_basis(vectors: Iterable[Vector], stop: int | None = None) -> lis
 def det(matrix) -> CycNum | int:
     """Determinant: division-free cofactor formulas for n <= 3, exact
     elimination above that.  The empty matrix gives the int 1, which
-    CycNum arithmetic coerces, so it is the unit of any caller's field."""
+    CycNum arithmetic coerces, so it is the unit of any caller's field.
+    Inserting the rows leaves unit rows at the pivot columns, so above
+    3 x 3 the determinant is the product of the pivots met times the sign
+    of the permutation taking each row to its pivot column."""
     rows = _as_rows(matrix)
     n = len(rows)
     if any(len(row) != n for row in rows):
@@ -139,48 +132,45 @@ def det(matrix) -> CycNum | int:
         (a, b, c), (d, e, f), (g, h, i) = rows
         minors = (dot((e, -f), (i, h)), dot((d, -f), (i, g)), dot((d, -e), (h, g)))
         return dot((a, -b, c), minors)
-    conductor = rows[0][0].conductor
-    result = CycNum.one(conductor)
-    for c in range(n):
-        pivot_row = next((i for i in range(c, n) if rows[i][c]), None)
-        if pivot_row is None:
-            return CycNum.zero(conductor)
-        if pivot_row != c:
-            rows[c], rows[pivot_row] = rows[pivot_row], rows[c]
-            result = -result
-        pivot = rows[c][c]
-        result = result * pivot
-        inv = pivot.inverse()
-        for i in range(c + 1, n):
-            if rows[i][c]:
-                factor = -(rows[i][c] * inv)
-                rows[i] = [a.addmul(factor, b) for a, b in zip(rows[i], rows[c])]
-    return result
+    reduced: dict[int, list[CycNum]] = {}
+    result = CycNum.one(rows[0][0].conductor)
+    pivots = []
+    for row in rows:
+        pivot, reduced_row = _insert(reduced, row, n)
+        if pivot is None:
+            return CycNum.zero(result.conductor)
+        result = result * reduced_row[pivot]
+        pivots.append(pivot)
+    inversions = sum(a > b for i, a in enumerate(pivots) for b in pivots[i + 1 :])
+    return -result if inversions % 2 else result
 
 
 def invert(matrix) -> list[list[CycNum]]:
-    """Matrix inverse via Gauss-Jordan; raises SingularMatrixError."""
+    """Matrix inverse: the rows of [A | I] inserted with pivots in A's
+    columns; raises SingularMatrixError when a row finds no pivot."""
     rows = _as_rows(matrix)
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise ShapeError("inverse needs a square matrix")
     conductor = rows[0][0].conductor
     zero, one = CycNum.zero(conductor), CycNum.one(conductor)
-    aug = [rows[i] + [one if j == i else zero for j in range(n)] for i in range(n)]
-    reduced, pivots = rref(aug)
-    if pivots != list(range(n)):
-        raise SingularMatrixError("matrix is singular")
-    return [row[n:] for row in reduced]
+    reduced: dict[int, list[CycNum]] = {}
+    for i, row in enumerate(rows):
+        if _insert(reduced, row + [one if j == i else zero for j in range(n)], n)[0] is None:
+            raise SingularMatrixError("matrix is singular")
+    return [reduced[c][n:] for c in range(n)]
 
 
 def solve(matrix, rhs_columns: Sequence[Sequence[CycNum]]) -> list[list[CycNum] | None]:
     """One solution of A x = b for each right-hand side b, or None where
     A x = b is inconsistent.
 
-    A single rref of [A | b_1 ... b_m], pivoting only in A's columns,
-    serves every right-hand side: b_k is consistent exactly when its
-    column vanishes below the rank.  Free unknowns are set to 0.  A matrix
-    without rows gives None for every column.
+    The rows of [A | b_1 ... b_m] are inserted with pivots only in A's
+    columns, so one elimination serves every right-hand side.  A row whose
+    A part reduces to zero is a combination y with y A = 0, and these rows
+    span all such y; b_k is consistent exactly when all of them vanish in
+    its column.  Free unknowns are set to 0.  A matrix without rows gives
+    None for every column.
     """
     rows = _as_rows(matrix)
     if not rows:
@@ -188,17 +178,20 @@ def solve(matrix, rhs_columns: Sequence[Sequence[CycNum]]) -> list[list[CycNum] 
     if any(len(b) != len(rows) for b in rhs_columns):
         raise ShapeError("every right-hand side needs one entry per matrix row")
     ncols = len(rows[0])
-    aug = [row + [b[i] for b in rhs_columns] for i, row in enumerate(rows)]
-    reduced, pivots = rref(aug, pivot_columns=ncols)
-    rank = len(pivots)
+    reduced: dict[int, list[CycNum]] = {}
+    residues = []
+    for i, row in enumerate(rows):
+        pivot, rest = _insert(reduced, row + [b[i] for b in rhs_columns], ncols)
+        if pivot is None:
+            residues.append(rest)
     zero = CycNum.zero(rows[0][0].conductor) if ncols else None
     out: list[list[CycNum] | None] = []
     for k in range(ncols, ncols + len(rhs_columns)):
-        if any(reduced[i][k] for i in range(rank, len(reduced))):
+        if any(rest[k] for rest in residues):
             out.append(None)
             continue
         x = [zero] * ncols
-        for i, c in enumerate(pivots):
-            x[c] = reduced[i][k]
+        for c, prow in reduced.items():
+            x[c] = prow[k]
         out.append(x)
     return out

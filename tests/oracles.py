@@ -16,18 +16,19 @@ the tests check the fast routes against them entry for entry.  One helper,
 `complex_approx`, evaluates a field element in floating point; the
 package itself has none.  The last helpers serve tests only: the surface
 cohomology bound, the residue pairing, a search for a conjugator between
-two subgroups, and the reader of `compute --format json` reports.
+two subgroups, the reader of `compute --format json` reports, and the
+Galois conjugation sigma_k of field values, matrices and reports.
 """
 
 from __future__ import annotations
 
 import cmath
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, permutations
 from math import gcd
 
 from lgorb import linalg
-from lgorb.exactnum import CycNum, cyclotomic_polynomial
+from lgorb.exactnum import CycNum, cyclotomic_polynomial, zeta
 from lgorb.jacobian import GroebnerBasis, _spoly, normal_form
 from lgorb.matgroup import GMatrix, fixed_space
 from lgorb.orbifold import (
@@ -235,18 +236,17 @@ def matrix_greedy_generators(elements) -> list[int]:
     return gens
 
 
-def dense_rref(matrix, pivot_columns: int | None = None):
-    """(rows, pivot columns) of the reduced row echelon form, with the same
-    first-nonzero pivoting as linalg.rref: the dense route, which scales
-    every entry of the pivot row and updates every entry of each row it
-    clears, zeros included."""
+def dense_rref(matrix):
+    """(rows, pivot columns) of the reduced row echelon form by the column
+    sweep with first-nonzero pivoting: the dense route, which scales every
+    entry of the pivot row and updates every entry of each row it clears,
+    zeros included."""
     rows = [list(row) for row in matrix]
     if not rows:
         return [], []
-    ncols = len(rows[0]) if pivot_columns is None else pivot_columns
     pivots: list[int] = []
     r = 0
-    for c in range(ncols):
+    for c in range(len(rows[0])):
         pivot_row = next((i for i in range(r, len(rows)) if rows[i][c]), None)
         if pivot_row is None:
             continue
@@ -262,6 +262,23 @@ def dense_rref(matrix, pivot_columns: int | None = None):
         if r == len(rows):
             break
     return rows, pivots
+
+
+def leibniz_det(matrix):
+    """The determinant as the signed sum over permutations, with no
+    division and no elimination: the oracle for linalg.det above 3 x 3."""
+    n = len(matrix)
+    total = CycNum.zero(matrix[0][0].conductor)
+    for perm in permutations(range(n)):
+        entries = [matrix[i][j] for i, j in enumerate(perm)]
+        if not all(entries):
+            continue
+        term = entries[0]
+        for e in entries[1:]:
+            term = term * e
+        inversions = sum(a > b for i, a in enumerate(perm) for b in perm[i + 1 :])
+        total = total - term if inversions % 2 else total + term
+    return total
 
 
 def augmented_solve(matrix, rhs) -> list | None:
@@ -712,3 +729,22 @@ def read_report(data: dict) -> HHReport:
         identity_dimension_vector=tuple(data["identity_dimension_vector"]),
         total_dim=data["total_dim"],
     )
+
+
+def galois(k: int, obj):
+    """sigma_k: zeta_28 -> zeta_28^k, for k prime to 28, applied to a CycNum
+    (of a conductor n dividing 28, where it sends zeta_n to zeta_n^k), to a
+    GMatrix entry by entry, and to every serialized CycNum inside the
+    lists and dicts of a `to_dict()` report; anything else is unchanged."""
+    if isinstance(obj, CycNum):
+        n = obj.conductor
+        return sum((zeta(n, i * k) * c for i, c in enumerate(obj.coeffs) if c), CycNum.zero(n))
+    if isinstance(obj, GMatrix):
+        return GMatrix([[galois(k, e) for e in row] for row in obj.rows])
+    if isinstance(obj, dict):
+        if set(obj) == {"conductor", "coeffs"}:
+            return galois(k, CycNum.from_dict(obj)).to_dict()
+        return {key: galois(k, value) for key, value in obj.items()}
+    if isinstance(obj, list):
+        return [galois(k, value) for value in obj]
+    return obj

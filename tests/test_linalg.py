@@ -7,7 +7,7 @@ from lgorb import linalg
 from lgorb.errors import ShapeError, SingularMatrixError
 from lgorb.exactnum import CycNum, zeta
 
-from oracles import augmented_solve, dense_rref
+from oracles import augmented_solve, dense_rref, leibniz_det
 
 
 def _rand_entry(rng, conductor=7):
@@ -44,10 +44,10 @@ def _sparse_entry(rng, conductor, density):
 
 @pytest.mark.parametrize("conductor", [1, 7, 28])
 def test_rref_matches_dense_oracle(conductor):
-    """rref, which touches only the pivot row's support, equals the dense
-    elimination entry for entry: sparse and dense matrices, each with a
-    zero row, a zero column and a dependent row, with pivots sought in
-    every column or only in a leading block (as for augmented systems)."""
+    """rref, which inserts one row at a time and touches only the nonzero
+    entries of the row it adds, equals the dense column sweep entry for
+    entry: sparse and dense matrices, each with a zero row, a zero column
+    and a dependent row."""
     rng = random.Random(900 + conductor)
     zero = CycNum.zero(conductor)
     seen_deficient = 0
@@ -66,12 +66,11 @@ def test_rref_matches_dense_oracle(conductor):
             a, b = _sparse_entry(rng, conductor, 1.0), _sparse_entry(rng, conductor, 1.0)
             matrix.append([a * x + b * y for x, y in zip(matrix[0], matrix[-1])])
             frozen = [tuple(row) for row in matrix]
-            for pivot_columns in (None, 0, ncols // 2, ncols):
-                rows, pivots = linalg.rref(matrix, pivot_columns)
-                expected_rows, expected_pivots = dense_rref(matrix, pivot_columns)
-                assert pivots == expected_pivots
-                assert rows == expected_rows
-                seen_deficient += len(pivots) < min(len(matrix), ncols)
+            rows, pivots = linalg.rref(matrix)
+            expected_rows, expected_pivots = dense_rref(matrix)
+            assert pivots == expected_pivots
+            assert rows == expected_rows
+            seen_deficient += len(pivots) < min(len(matrix), ncols)
             assert [tuple(row) for row in matrix] == frozen
     assert seen_deficient
     assert linalg.rref([]) == dense_rref([]) == ([], [])
@@ -90,6 +89,64 @@ def test_det_agrees_with_leibniz_on_randoms():
         assert linalg.det(m) == leibniz
 
 
+def _square_cases(rng, n, conductor):
+    """n x n matrices whose rows meet their pivots in every kind of order: a
+    sparse and a dense random one, a triangular one with its first two rows
+    swapped and one with its rows rotated (pivots out of row order), and
+    the dense one with a repeated row and with a zero column (singular)."""
+    zero = CycNum.zero(conductor)
+    sparse, dense = (
+        [[_sparse_entry(rng, conductor, density) for _ in range(n)] for _ in range(n)]
+        for density in (0.4, 1.0)
+    )
+    triangular = [
+        [_sparse_entry(rng, conductor, 1.0 if j == i else 0.5) if j >= i else zero for j in range(n)]
+        for i in range(n)
+    ]
+    swapped = [triangular[1], triangular[0]] + triangular[2:]
+    rotated = triangular[1:] + triangular[:1]
+    repeated = dense[:-1] + [dense[0]]
+    j = rng.randrange(n)
+    zero_column = [[zero if k == j else x for k, x in enumerate(row)] for row in dense]
+    return [sparse, dense, swapped, rotated, repeated, zero_column]
+
+
+def _identity(n, conductor):
+    return [[CycNum.one(conductor) if i == j else CycNum.zero(conductor) for j in range(n)] for i in range(n)]
+
+
+def _matmul(a, b):
+    return [
+        [sum((row[k] * b[k][j] for k in range(1, len(b))), row[0] * b[0][j]) for j in range(len(b[0]))]
+        for row in a
+    ]
+
+
+@pytest.mark.parametrize("conductor", [1, 7, 28])
+@pytest.mark.parametrize("n", [4, 5])
+def test_det_and_invert_above_3x3_match_leibniz(conductor, n):
+    """det above 3 x 3 (pivots times the sign of the pivot permutation)
+    equals the Leibniz sum; invert gives A A^-1 = I exactly when that sum
+    is nonzero and raises SingularMatrixError otherwise; neither touches
+    its input."""
+    rng = random.Random(40 * n + conductor)
+    seen = {"invertible": 0, "singular": 0}
+    for _ in range(2):
+        for matrix in _square_cases(rng, n, conductor):
+            frozen = [tuple(row) for row in matrix]
+            expected = leibniz_det(matrix)
+            assert linalg.det(matrix) == expected
+            if expected:
+                assert _matmul(matrix, linalg.invert(matrix)) == _identity(n, conductor)
+                seen["invertible"] += 1
+            else:
+                with pytest.raises(SingularMatrixError):
+                    linalg.invert(matrix)
+                seen["singular"] += 1
+            assert [tuple(row) for row in matrix] == frozen
+    assert seen["invertible"] and seen["singular"]
+
+
 def test_det_4x4_elimination_path():
     z = zeta(7)
     one, zero = CycNum.one(7), CycNum.zero(7)
@@ -100,6 +157,7 @@ def test_det_4x4_elimination_path():
         [zero, zero, zero, one],
     ]
     assert linalg.det(m) == z
+    assert linalg.det([m[1], m[0]] + m[2:]) == -z
 
 
 def test_empty_det_is_the_unit_of_any_field():
@@ -115,16 +173,7 @@ def test_invert_and_solve():
         m = _rand_matrix(rng, 3)
         if not linalg.det(m):
             continue
-        inv = linalg.invert(m)
-        prod = [
-            [
-                sum((m[i][k] * inv[k][j] for k in range(1, 3)), m[i][0] * inv[0][j])
-                for j in range(3)
-            ]
-            for i in range(3)
-        ]
-        expect = [[CycNum.one(7) if i == j else CycNum.zero(7) for j in range(3)] for i in range(3)]
-        assert prod == expect
+        assert _matmul(m, linalg.invert(m)) == _identity(3, 7)
     singular = [[CycNum.one(7), CycNum.one(7)], [CycNum.one(7), CycNum.one(7)]]
     with pytest.raises(SingularMatrixError):
         linalg.invert(singular)

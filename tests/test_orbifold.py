@@ -29,6 +29,7 @@ from lgorb.orbifold import (
 from lgorb.molien import invariant_degree_dims
 from lgorb.polyring import Poly, WeightSystem
 from oracles import (
+    galois,
     kernel_route,
     pairwise_product_table,
     read_report,
@@ -550,6 +551,49 @@ def test_report_bytes_are_pinned(klein, hh, key, how):
     group = catalog_group(key, hat=how) if isinstance(how, bool) else _dense_conjugate(key, how)
     blob = json.dumps(hh.report(group).to_dict(), sort_keys=True).encode()
     assert hashlib.sha256(blob).hexdigest() == _REPORT_DIGESTS[key, how]
+
+
+_GALOIS_CASES = [(27, key, hat) for key in CATALOG_KEYS for hat in (False, True)] + [
+    (3, "e", True),
+    (3, "i", False),
+    (3, "slf", False),
+]
+
+
+@pytest.mark.parametrize(
+    "k, key, hat",
+    _GALOIS_CASES,
+    ids=[f"sigma{k}-{key}{'^' if hat else ''}" for k, key, hat in _GALOIS_CASES],
+)
+def test_galois_conjugation_commutes_with_compute_hh(klein, k, key, hat):
+    """f has rational coefficients and every step of compute_hh is rational
+    in the matrix entries with sigma-invariant zero tests, so the report of
+    sigma_k G (sigma_k of G's generators closed with the same words, the
+    hat adjoined after) is sigma_k of G's report, invariant bases included."""
+    f, w = klein
+    base = catalog_group(key)
+    gens = [galois(k, base.elements[i]) for i in base.generator_indices]
+    conjugate = generate_closure(gens, words=[base.words[i] for i in base.generator_indices])
+    if hat:
+        conjugate = hat_extend(conjugate)
+    group = catalog_group(key, hat=hat)
+    assert [galois(k, m) for m in group.elements] == list(conjugate.elements)
+    assert compute_hh(f, conjugate, w).to_dict() == galois(k, compute_hh(f, group, w).to_dict())
+
+
+def test_galois_oracle_is_a_field_automorphism(rng):
+    z = zeta(28)
+    assert galois(27, z) == zeta(28, 27) and galois(3, zeta(7)) == zeta(7, 3)
+    for _ in range(5):
+        a, b = (
+            sum((zeta(28, i) * rng.randint(-3, 3) for i in range(12)), CycNum.zero(28))
+            for _ in range(2)
+        )
+        for k in (3, 27):
+            assert galois(k, a * b) == galois(k, a) * galois(k, b)
+            assert galois(k, a + b) == galois(k, a) + galois(k, b)
+    assert galois(27, galois(27, a)) == a
+    assert galois(27, generator_matrix("S")) == generator_matrix("S") ** 6
 
 
 def test_repeated_computation_is_deterministic(klein):

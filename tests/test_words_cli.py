@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -119,6 +120,22 @@ def test_cli_compute_file_group(tmp_path, capsys):
     path.write_text(json.dumps(spec))
     assert cli.main(["compute", "--group", f"file:{path}"]) == cli.EXIT_OK
     assert "total dimension: 8" in capsys.readouterr().out
+
+
+def test_cli_hat_on_a_group_holding_minus_id_warns_in_one_line(tmp_path, capsys):
+    path = tmp_path / "group.json"
+    path.write_text(json.dumps({"generators": ["-I", "S"]}))
+    assert cli.main(["compute", "--group", f"file:{path}"]) == cli.EXIT_OK
+    plain = capsys.readouterr()
+    assert plain.err == ""
+    path.write_text(json.dumps({"generators": ["-I", "S"], "hat": True}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["compute", "--group", f"file:{path}"]) == cli.EXIT_OK
+    hat = capsys.readouterr()
+    assert hat.err == "warning: -id already present; group used unchanged\n"
+    assert hat.out == plain.out.replace("file:group.json:", "file:group.json^:")
+    assert "order 14," in hat.out
 
 
 def test_cli_compute_matrix_file_group(tmp_path, capsys):
