@@ -4,7 +4,7 @@ Commands:
     lgorb catalog list
     lgorb compute --group (catalog:<key> | file:<path>) [--hat]
                   [--format json|csv|text] [--out PATH]
-    lgorb verify [--all | --key <k>] [--hat]
+    lgorb verify [--all | --key <k> [--hat]]
 
 Exit codes: 0 success, 1 reference mismatch (verify), 2 input error,
 3 inadmissible group.  Output files are written atomically.
@@ -278,6 +278,8 @@ def _verify_one(key: str, hat: bool) -> tuple[str, bool]:
 def _cmd_verify(args) -> int:
     if args.key is not None:
         targets = [(args.key, args.hat)]
+    elif args.hat:
+        raise InputError("--hat needs --key")
     else:
         targets = [(k, False) for k in catalog.CATALOG_KEYS]
         targets += [("slf", True), ("e", True)]
@@ -319,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     group = ver.add_mutually_exclusive_group()
     group.add_argument("--all", action="store_true", help="verify every entry")
     group.add_argument("--key", default=None, help="verify one catalog key")
-    ver.add_argument("--hat", action="store_true", help="verify the -id extension")
+    ver.add_argument("--hat", action="store_true", help="verify the -id extension of --key")
     ver.set_defaults(func=_cmd_verify)
     return parser
 

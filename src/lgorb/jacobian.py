@@ -37,7 +37,6 @@ from lgorb.polyring import (
     mon_lcm,
     mon_mul,
     partial_derivative,
-    resolve_weights,
 )
 
 
@@ -326,12 +325,11 @@ class JacobianAlgebra:
 _ALGEBRA_CACHE: dict = {}
 
 
-def jacobian_algebra(f: Poly, w: WeightSystem | None = None) -> JacobianAlgebra:
+def jacobian_algebra(f: Poly, w: WeightSystem) -> JacobianAlgebra:
     """Basis, graded dimensions, Milnor number and Hessian class of Jac(f).
 
     Results are memoized per polynomial (construction is pure).
     """
-    w = resolve_weights(f, w)
     key = (f.cache_key(), w.weights, w.total)
     cached = _ALGEBRA_CACHE.get(key)
     if cached is not None:

@@ -94,7 +94,7 @@ def kernel_basis_with_free(matrix) -> tuple[list[Vector], list[int]]:
     return basis, free
 
 
-def kernel_form_basis(vectors: Iterable[Vector], stop: int | None = None) -> list[Vector]:
+def kernel_form_basis(vectors: Iterable[Vector], stop: int) -> list[Vector]:
     """The kernel basis `kernel_basis_with_free` gives for any matrix whose
     kernel is the span of the vectors: one vector per free column j,
     ascending, with 1 at j, 0 at the other free columns and nothing after
@@ -152,6 +152,8 @@ def invert(matrix) -> list[list[CycNum]]:
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise ShapeError("inverse needs a square matrix")
+    if n == 0:
+        return []
     conductor = rows[0][0].conductor
     zero, one = CycNum.zero(conductor), CycNum.one(conductor)
     reduced: dict[int, list[CycNum]] = {}

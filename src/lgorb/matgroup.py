@@ -416,14 +416,13 @@ def _closure(identity, step, count: int, words: Optional[Sequence[str]], cap: in
 
 
 def generate_closure(
-    generators: Sequence[GMatrix],
-    cap: int = DEFAULT_CLOSURE_CAP,
-    words: Optional[Sequence[str]] = None,
+    generators: Sequence[GMatrix], words: Optional[Sequence[str]] = None
 ) -> FiniteMatrixGroup:
     """Breadth-first closure of the generators under multiplication.
 
     Element 0 is the identity; the rest appear in generation order.  When
     generator words are supplied, a word is tracked for every element.
+    More than DEFAULT_CLOSURE_CAP elements raise ClosureCapExceededError.
     """
     if not generators:
         raise ValueError("need at least one generator")
@@ -440,7 +439,7 @@ def generate_closure(
         lambda m, k: m * generators[k],
         len(generators),
         words,
-        cap,
+        DEFAULT_CLOSURE_CAP,
     )
     return FiniteMatrixGroup(elements, [t[0] for t in tables], tables, elem_words)
 

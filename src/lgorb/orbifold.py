@@ -40,7 +40,7 @@ normal-formed unless a substituted variable is not a standard monomial.
 
 Element-level results are memoized once per process, like the Jacobian
 algebras of `lgorb.jacobian`: `_build_sector` by (f, g, weights) and the
-generator symmetry check `_preserves` by (f, g), all compared by value,
+symmetry check `_preserves` by (f, g), all compared by value,
 with `functools.lru_cache`.  Every catalog group is a subgroup of the
 order-336 group, so class representatives and generators recur across
 groups.  Exceptions are never cached (a failing check raises again), and
@@ -70,7 +70,6 @@ from lgorb.molien import invariant_degree_dims, restriction_matrix
 from lgorb.polyring import (
     Poly,
     WeightSystem,
-    resolve_weights,
     restrict_to_subspace,
     substitute_linear,
 )
@@ -92,12 +91,11 @@ class Sector:
         return len(self.fix_basis)
 
 
-def build_sector(f: Poly, g: GMatrix, weights: Optional[WeightSystem] = None) -> Sector:
+def build_sector(f: Poly, g: GMatrix, weights: WeightSystem) -> Sector:
     """Fixed locus, restriction and Jacobian algebra data for one element;
     raises NotASymmetryError unless g preserves f."""
-    if substitute_linear(f, g.rows) != f:
-        raise NotASymmetryError("matrix does not preserve the polynomial")
-    return _build_sector(f, g, resolve_weights(f, weights))
+    _preserves(f, g)
+    return _build_sector(f, g, weights)
 
 
 @lru_cache(maxsize=None)
@@ -383,17 +381,12 @@ def _validate_group(f: Poly, group: FiniteMatrixGroup):
         _preserves(f, g)
 
 
-def compute_hh(
-    f: Poly,
-    group: FiniteMatrixGroup,
-    weights: Optional[WeightSystem] = None,
-) -> HHReport:
+def compute_hh(f: Poly, group: FiniteMatrixGroup, weights: WeightSystem) -> HHReport:
     """Invariant dimensions of the orbifold state space of (f, group).
 
     One report per conjugacy class: the Z(g)-invariants of Jac(f^g) xi_g.
     """
     _validate_group(f, group)
-    weights = resolve_weights(f, weights)
     conj = group.conjugacy()
     reports = [
         _class_report(f, group, rep, members, conj.centralizers[rep], weights)
@@ -428,10 +421,7 @@ class ProductTable:
 
 
 def identity_sector_products(
-    f: Poly,
-    group: FiniteMatrixGroup,
-    weights: Optional[WeightSystem] = None,
-    basis: Optional[Sequence[Poly]] = None,
+    f: Poly, group: FiniteMatrixGroup, weights: WeightSystem
 ) -> ProductTable:
     """Products of identity-sector invariant classes, re-expressed over the
     invariant basis.
@@ -445,28 +435,11 @@ def identity_sector_products(
     the algebra's top degree is the zero vector, with no product: the
     Jacobian ideal is weighted-homogeneous, so normal forms keep degree,
     and no standard monomial lies above the top degree.
-
-    An explicit basis of invariant classes may be supplied; it is accepted
-    when its classes span the invariant subspace, each solved against the
-    computed invariant basis, and its coordinates (`JacobianAlgebra.vector`,
-    once per class) are multiplied.  Otherwise the coordinates of the
-    computed basis are used as they are.
     """
     _validate_group(f, group)
-    weights = resolve_weights(f, weights)
-    sector, _, invariants = _class_invariants(f, group, 0, range(group.order), weights)
+    sector, _, vectors = _class_invariants(f, group, 0, range(group.order), weights)
     algebra = sector.algebra
-    if basis is None:
-        basis, vectors = tuple(_class_poly(algebra, v) for v in invariants), invariants
-    else:
-        basis = tuple(basis)
-        vectors = [algebra.vector(p) for p in basis]
-        if linalg.rank(list(map(list, zip(*vectors)))) != len(invariants) or len(
-            vectors
-        ) != len(invariants):
-            raise ValueError("supplied classes are not a basis of the invariants")
-        if any(x is None for x in linalg.solve([list(r) for r in zip(*invariants)], vectors)):
-            raise ValueError("a supplied class is not invariant")
+    basis = tuple(_class_poly(algebra, v) for v in vectors)
     matrix = [list(row) for row in zip(*vectors)]
     pairs = [(i, j) for i in range(len(basis)) for j in range(i, len(basis))]
     # the basis is sorted by degree, so a class's first nonzero coordinate has its lowest degree

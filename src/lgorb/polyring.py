@@ -69,14 +69,6 @@ class WeightSystem:
         return f"WeightSystem({self.weights}, {self.total})"
 
 
-def resolve_weights(f: Poly, weights: WeightSystem | None) -> WeightSystem:
-    """The given weights, or by default weight 1 on every variable with the
-    degree of f as total (1 for a constant)."""
-    if weights is None:
-        return WeightSystem([1] * f.arity, f.total_degree() or 1)
-    return weights
-
-
 class Poly:
     """A polynomial of fixed arity over one cyclotomic field."""
 
@@ -350,21 +342,15 @@ def compose_linear(p: Poly, columns: Sequence[Sequence[CycNum]]) -> Poly:
             if coeff:
                 terms[tuple(1 if j == c else 0 for j in range(k))] = coeff
         lin.append(Poly(k, terms, conductor))
-    powers: list[dict[int, Poly]] = [dict() for _ in range(n)]
-
-    def lin_pow(i: int, e: int) -> Poly:  # e >= 1
-        cached = powers[i].get(e)
-        if cached is None:
-            cached = lin[i] if e == 1 else lin_pow(i, e - 1) * lin[i]
-            powers[i][e] = cached
-        return cached
-
     out = Poly.zero(k, conductor)
     for mon, coeff in p.terms.items():
         img = None
         for i, e in enumerate(mon):
             if e:
-                img = lin_pow(i, e) if img is None else img * lin_pow(i, e)
+                power = lin[i]
+                for _ in range(e - 1):
+                    power = power * lin[i]
+                img = power if img is None else img * power
         if img is None:
             img = Poly.constant(coeff, k, conductor)
         elif not coeff.is_one():

@@ -38,22 +38,28 @@ def rng():
 
 
 class _HHCache:
-    """Memoizes compute_hh by group element set (totals are what tests use
-    repeatedly; conjugate copies of the same subgroup hit the cache)."""
+    """Memoizes compute_hh.  A report depends on the element order (rep
+    indices, class order, bases) and the generator words, so reports are
+    keyed by both; a total depends only on the element set, so conjugate
+    copies of the same subgroup share one."""
 
     def __init__(self, f, w):
         self.f = f
         self.w = w
-        self._cache = {}
+        self._reports = {}
+        self._totals = {}
 
     def report(self, group):
-        key = frozenset(group.index)
-        if key not in self._cache:
-            self._cache[key] = compute_hh(self.f, group, self.w)
-        return self._cache[key]
+        key = (group.elements, group.words)
+        if key not in self._reports:
+            self._reports[key] = compute_hh(self.f, group, self.w)
+        return self._reports[key]
 
     def total(self, group):
-        return self.report(group).total_dim
+        key = frozenset(group.index)
+        if key not in self._totals:
+            self._totals[key] = self.report(group).total_dim
+        return self._totals[key]
 
 
 @pytest.fixture(scope="session")

@@ -160,7 +160,7 @@ def test_jacobian_algebra_small_and_zero_arity():
     x4 = Poly(1, {(4,): 1})
     alg = jacobian_algebra(x4, WeightSystem([1], 4))
     assert alg.milnor == 3 and alg.graded_dims == (1, 1, 1)
-    trivial = jacobian_algebra(Poly(0, {(): 0}))
+    trivial = jacobian_algebra(Poly(0, {(): 0}), WeightSystem([], 1))
     assert trivial.milnor == 1 and trivial.graded_dims == (1,)
     assert trivial.basis == ((),)
 

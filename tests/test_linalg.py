@@ -174,6 +174,7 @@ def test_invert_and_solve():
         if not linalg.det(m):
             continue
         assert _matmul(m, linalg.invert(m)) == _identity(3, 7)
+    assert linalg.invert([]) == []
     singular = [[CycNum.one(7), CycNum.one(7)], [CycNum.one(7), CycNum.one(7)]]
     with pytest.raises(SingularMatrixError):
         linalg.invert(singular)
@@ -237,7 +238,8 @@ def test_solve_rejects_right_hand_sides_of_the_wrong_length():
 def test_kernel_form_basis_is_the_kernel_basis_of_the_span():
     """Random combinations of a kernel basis, in any order and with
     dependent extras, give back the basis of kernel_basis_with_free
-    exactly; `stop` ends the scan early and leaves the rest of the iterator
+    exactly; a `stop` above the kernel dimension reads every vector, and
+    `stop` at it ends the scan early and leaves the rest of the iterator
     unread."""
     rng = random.Random(17)
     for nrows, ncols in ((1, 4), (2, 5), (3, 6), (1, 2)):
@@ -253,10 +255,10 @@ def test_kernel_form_basis_is_the_kernel_basis_of_the_span():
                     for j in range(ncols)
                 )
             )
-        assert linalg.kernel_form_basis(mixes) == expected
-        assert linalg.kernel_form_basis(reversed(expected)) == expected
+        assert linalg.kernel_form_basis(mixes, ncols) == expected
+        assert linalg.kernel_form_basis(reversed(expected), ncols) == expected
         stream = iter(mixes + [None])  # None would fail if it were read
         assert linalg.kernel_form_basis(stream, len(expected)) == expected
-    assert linalg.kernel_form_basis([]) == []
+    assert linalg.kernel_form_basis([], 1) == []
     zero = CycNum.zero(7)
-    assert linalg.kernel_form_basis([(zero, zero)]) == []
+    assert linalg.kernel_form_basis([(zero, zero)], 2) == []

@@ -11,6 +11,7 @@ from lgorb.catalog import CATALOG_KEYS, catalog_entry, catalog_group, generator_
 from lgorb.errors import ClosureCapExceededError, SingularMatrixError
 from lgorb.exactnum import CycNum, zeta
 from lgorb.matgroup import (
+    DEFAULT_CLOSURE_CAP,
     GMatrix,
     fixed_space,
     from_elements,
@@ -60,9 +61,11 @@ def test_slf_closure_and_classes(slf):
 
 
 def test_closure_cap_and_singular_generator():
-    R, T, S = (generator_matrix(k) for k in "RTS")
-    with pytest.raises(ClosureCapExceededError):
-        generate_closure([R, T, S], cap=10)
+    """[[2]] has infinite order, so its closure passes the default cap."""
+    two = GMatrix([[CycNum.from_rational(2, 28)]])
+    cap_message = f"^closure exceeded cap {DEFAULT_CLOSURE_CAP};"
+    with pytest.raises(ClosureCapExceededError, match=cap_message):
+        generate_closure([two])
     zero_row = [[CycNum.zero(28)] * 3 for _ in range(3)]
     singular = GMatrix(zero_row)
     with pytest.raises(SingularMatrixError):

@@ -67,14 +67,6 @@ def test_build_sector_examples(klein):
     assert identity_sector.algebra.source == f
 
 
-def test_default_weights_share_the_memoized_sector(klein):
-    """build_sector resolves omitted weights to the standard ones before the
-    memo, so the call with them and the call without return one Sector."""
-    f, w = klein
-    g = generator_matrix("T")
-    assert build_sector(f, g) is build_sector(f, g, w)
-
-
 def test_build_sector_rejects_non_symmetry(klein):
     f, w = klein
     zero, one = CycNum.zero(28), CycNum.one(28)
@@ -377,7 +369,7 @@ def test_non_symmetry_group_rejected(klein):
 
 def test_identity_sector_products_unit_law(klein):
     f, w = klein
-    table = identity_sector_products(f, catalog_group("e", hat=True))
+    table = identity_sector_products(f, catalog_group("e", hat=True), w)
     unit = table.basis[0]
     assert unit == Poly.constant(1, 3, f.conductor)
     for j in range(len(table.basis)):
@@ -392,7 +384,7 @@ def test_identity_sector_products_unit_law(klein):
 def _catalog_products_case(key, hat):
     def case(klein):
         f, w = klein
-        return f, catalog_group(key, hat=hat), w, None
+        return f, catalog_group(key, hat=hat), w
 
     return case
 
@@ -403,17 +395,7 @@ def _weighted_products_case(_klein):
     one = CycNum.one(28)
     f = Poly(3, {(2, 0, 0): one, (0, 4, 0): one, (0, 0, 4): one}, 28)
     group = generate_closure([GMatrix.diagonal([one, -one, -one])])
-    return f, group, WeightSystem((2, 1, 1), 4), None
-
-
-def _inhomogeneous_products_case(klein):
-    """e^'s basis with b0 replaced by b0 + b_top, a class of lowest degree
-    0 and highest degree 6."""
-    f, w = klein
-    group = catalog_group("e", hat=True)
-    basis = list(identity_sector_products(f, group, w).basis)
-    basis[0] = basis[0] + basis[-1]
-    return f, group, w, basis
+    return f, group, WeightSystem((2, 1, 1), 4)
 
 
 _PRODUCT_CASES = {
@@ -422,7 +404,6 @@ _PRODUCT_CASES = {
     "e-True": _catalog_products_case("e", True),
     "j-False": _catalog_products_case("j", False),
     "weighted": _weighted_products_case,
-    "e-True-inhomogeneous": _inhomogeneous_products_case,
 }
 
 
@@ -430,10 +411,9 @@ _PRODUCT_CASES = {
 def test_identity_sector_products_match_pairwise_oracle(klein, case):
     """The one-elimination table, which skips pairs whose lowest degrees
     add up to more than the top degree, equals one dense solve of a
-    normal-formed product per pair.  A skip keyed to a class's highest
-    degree would zero (b0 + b_top) b_j in the inhomogeneous case."""
-    f, group, w, basis = _PRODUCT_CASES[case](klein)
-    table = identity_sector_products(f, group, w, basis=basis)
+    normal-formed product per pair."""
+    f, group, w = _PRODUCT_CASES[case](klein)
+    table = identity_sector_products(f, group, w)
     expected = pairwise_product_table(jacobian_algebra(f, w), table.basis)
     assert list(table.products) == list(expected)
     assert table.products == expected
@@ -603,29 +583,6 @@ def test_repeated_computation_is_deterministic(klein):
     first, second = (compute_hh(f, generate_closure(gens, words=words), w) for _ in range(2))
     assert first == second
     assert json.dumps(first.to_dict()) == json.dumps(second.to_dict())
-
-
-def test_identity_sector_products_supplied_basis(klein, monkeypatch):
-    """The supplied-basis path takes generator inverses from the group
-    table, and rejects a non-invariant class and a short list."""
-    f, w = klein
-    group = catalog_group("d")
-    computed = identity_sector_products(f, group, w)
-    assert len(computed.basis) == 15
-
-    def no_invert(*_args):
-        raise AssertionError("linalg.invert called")
-
-    monkeypatch.setattr(linalg, "invert", no_invert)
-    assert identity_sector_products(f, group, w, basis=computed.basis) == computed
-    # the only degree-1 invariant replaced by a monomial it does not fix
-    assert computed.basis[1].total_degree() == 1
-    moved = list(computed.basis)
-    moved[1] = Poly(3, {(1, 0, 0): 1}, f.conductor)
-    with pytest.raises(ValueError, match="^a supplied class is not invariant$"):
-        identity_sector_products(f, group, w, basis=moved)
-    with pytest.raises(ValueError, match="^supplied classes are not a basis of the invariants$"):
-        identity_sector_products(f, group, w, basis=computed.basis[:-1])
 
 
 def test_weights_are_restricted_to_the_fixed_locus():

@@ -1,4 +1,5 @@
-"""The package as a whole: its exported names, and no floating point.
+"""The package as a whole: its exported names, the signatures of the
+engine's entry points, and no floating point.
 
 The float check and the export-use check read every module of the
 installed `lgorb` package with `ast`, so they see the source as written
@@ -6,10 +7,12 @@ and import nothing but the package itself.
 """
 
 import ast
+import inspect
 import re
 from pathlib import Path
 
 import lgorb
+from lgorb import jacobian, linalg, matgroup, orbifold, polyring
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -63,6 +66,26 @@ def test_every_exported_name_has_a_user():
         if name not in used and not re.search(rf"\b{name}\b", bench)
     ]
     assert unused == []
+
+
+def test_engine_entry_points_take_their_settings_as_plain_arguments():
+    """Weights, the closure cap, the product basis and the kernel's stop
+    have one value outside the tests, so the entry points take no optional
+    setting: generator words are the only defaulted parameter."""
+    entry_points = {
+        orbifold.compute_hh: ["f", "group", "weights"],
+        orbifold.identity_sector_products: ["f", "group", "weights"],
+        orbifold.build_sector: ["f", "g", "weights"],
+        jacobian.jacobian_algebra: ["f", "w"],
+        matgroup.generate_closure: ["generators", "words"],
+        linalg.kernel_form_basis: ["vectors", "stop"],
+    }
+    for func, names in entry_points.items():
+        params = inspect.signature(func).parameters
+        assert list(params) == names, func.__name__
+        defaulted = [n for n, p in params.items() if p.default is not p.empty]
+        assert defaulted == (["words"] if func is matgroup.generate_closure else []), func.__name__
+    assert not hasattr(polyring, "resolve_weights")
 
 
 def test_export_use_check_skips_a_name_inside_its_own_definition():

@@ -340,6 +340,16 @@ def test_cli_verify_single_keys(capsys):
     assert cli.main(["verify", "--key", "b", "--hat"]) == cli.EXIT_INPUT
 
 
+@pytest.mark.parametrize("argv", [["verify", "--hat"], ["verify", "--all", "--hat"]])
+def test_cli_verify_hat_needs_a_key(capsys, argv):
+    """--all already covers the recorded extensions, so --hat without a
+    key would silently check the base entries."""
+    assert cli.main(argv) == cli.EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.err == "error: --hat needs --key\n"
+    assert captured.out == ""
+
+
 def test_cli_verify_disputed_entry_is_info(capsys):
     assert cli.main(["verify", "--key", "j"]) == cli.EXIT_OK
     out = capsys.readouterr().out
