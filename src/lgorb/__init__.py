@@ -46,7 +46,6 @@ from lgorb.polyring import (
     Monomial,
     Poly,
     WeightSystem,
-    hessian,
     is_quasihomogeneous,
     partial_derivative,
     restrict_to_subspace,
@@ -85,7 +84,6 @@ __all__ = [
     "generate_closure",
     "generator_matrix",
     "hat_extend",
-    "hessian",
     "identity_sector_products",
     "invariant_subspace",
     "is_quasihomogeneous",

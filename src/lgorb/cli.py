@@ -7,7 +7,8 @@ Commands:
     lgorb verify [--all | --key <k> [--hat]]
 
 Exit codes: 0 success, 1 reference mismatch (verify), 2 input error,
-3 inadmissible group.  Output files are written atomically.
+3 inadmissible group, 141 (128 + SIGPIPE) stdout closed by its reader.
+Output files are written atomically.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_INPUT = 2
 EXIT_INADMISSIBLE = 3
+EXIT_BROKEN_PIPE = 141
 
 
 class InputError(Exception):
@@ -330,14 +332,17 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
-    except InputError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_INPUT
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not in the flush at exit
+        return code
+    except BrokenPipeError:
+        # stdout's reader is gone: point stdout at devnull so the flush at exit is silent
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except (InadmissibleGroupError, NotASymmetryError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INADMISSIBLE
-    except LgorbError as exc:
+    except (InputError, LgorbError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT
 

@@ -14,7 +14,7 @@ class ShapeError(LgorbError, ValueError):
 
 
 class NonIsolatedSingularityError(LgorbError, ValueError):
-    """Raised when a Jacobian quotient is not finite-dimensional."""
+    """Raised when a Jacobian quotient is infinite-dimensional or has wrong graded dimensions."""
 
 
 class SingularMatrixError(LgorbError, ValueError):

@@ -30,7 +30,6 @@ from lgorb.polyring import (
     Poly,
     WeightSystem,
     grevlex_key,
-    hessian,
     is_quasihomogeneous,
     mon_div,
     mon_divides,
@@ -197,8 +196,7 @@ def quotient_basis(basis: GroebnerBasis) -> list[Monomial]:
 
 
 class JacobianAlgebra:
-    """The quotient by the ideal of partial derivatives, with basis data;
-    `hessian_class` holds the coordinates of the Hessian's class."""
+    """The quotient by the ideal of partial derivatives, with basis data."""
 
     __slots__ = (
         "source",
@@ -208,7 +206,6 @@ class JacobianAlgebra:
         "basis_index",
         "graded_dims",
         "milnor",
-        "hessian_class",
         "degrees",
         "_table",
     )
@@ -223,7 +220,6 @@ class JacobianAlgebra:
         self.milnor = len(self.basis)
         self.degrees = tuple(d for d, dim in enumerate(self.graded_dims) for _ in range(dim))
         self._table = None  # filled by `multiply`, one entry at a time
-        self.hessian_class = self.vector(hessian(source))
 
     @property
     def arity(self) -> int:
@@ -322,13 +318,30 @@ class JacobianAlgebra:
         return slices
 
 
+def hilbert_dims(w: WeightSystem) -> tuple[int, ...]:
+    """Graded dimensions of Jac(f) for any quasihomogeneous isolated f with
+    weights w, by the Koszul resolution of its partials: the coefficients of
+    prod_i (1 - s^(d - w_i)) / (1 - s^w_i) in degrees 0..sum_i (d - 2 w_i)."""
+    d = w.total
+    top = sum(d - 2 * wi for wi in w.weights)
+    series = [1] + [0] * top
+    for wi in w.weights:
+        for k in range(top, d - wi - 1, -1):  # times 1 - s^(d - w_i)
+            series[k] -= series[k - d + wi]
+        for k in range(wi, top + 1):  # divided by 1 - s^w_i, as a power series
+            series[k] += series[k - wi]
+    return tuple(series)
+
+
 _ALGEBRA_CACHE: dict = {}
 
 
 def jacobian_algebra(f: Poly, w: WeightSystem) -> JacobianAlgebra:
-    """Basis, graded dimensions, Milnor number and Hessian class of Jac(f).
+    """Basis, graded dimensions and Milnor number of Jac(f).
 
-    Results are memoized per polynomial (construction is pure).
+    The graded dimensions are `hilbert_dims(w)`, and the weighted degrees
+    of the standard monomials, sorted, are checked against them.  Results
+    are memoized per polynomial (construction is pure).
     """
     key = (f.cache_key(), w.weights, w.total)
     cached = _ALGEBRA_CACHE.get(key)
@@ -341,14 +354,14 @@ def jacobian_algebra(f: Poly, w: WeightSystem) -> JacobianAlgebra:
         if any(p.is_zero() for p in partials):
             raise NonIsolatedSingularityError("a partial derivative vanishes identically")
         gb = buchberger(partials)
-        basis = quotient_basis(gb)
-        degrees = [w.weighted_degree(m) for m in basis]
-        dims = [degrees.count(d) for d in range(max(degrees) + 1)]
-        basis.sort(key=lambda m: (w.weighted_degree(m), grevlex_key(m)))
+        basis = sorted(quotient_basis(gb), key=lambda m: (w.weighted_degree(m), grevlex_key(m)))
     else:
-        gb, basis, dims = None, [()], [1]
-    algebra = JacobianAlgebra(f, w, gb, basis, dims)
-    if not any(algebra.hessian_class):
-        raise NonIsolatedSingularityError("Hessian class vanishes in the quotient")
+        gb, basis = None, [()]
+    algebra = JacobianAlgebra(f, w, gb, basis, hilbert_dims(w))
+    found = tuple(map(w.weighted_degree, algebra.basis))
+    if algebra.degrees != found:
+        raise NonIsolatedSingularityError(
+            f"standard monomial degrees {found} do not fit graded dimensions {algebra.graded_dims}"
+        )
     _ALGEBRA_CACHE[key] = algebra
     return algebra

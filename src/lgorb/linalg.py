@@ -146,8 +146,9 @@ def det(matrix) -> CycNum | int:
 
 
 def invert(matrix) -> list[list[CycNum]]:
-    """Matrix inverse: the rows of [A | I] inserted with pivots in A's
-    columns; raises SingularMatrixError when a row finds no pivot."""
+    """Matrix inverse: `solve` against the identity's columns, transposed.
+    A singular A has some y != 0 with y A = 0, so some identity column is
+    inconsistent (None) and SingularMatrixError is raised."""
     rows = _as_rows(matrix)
     n = len(rows)
     if any(len(row) != n for row in rows):
@@ -156,11 +157,10 @@ def invert(matrix) -> list[list[CycNum]]:
         return []
     conductor = rows[0][0].conductor
     zero, one = CycNum.zero(conductor), CycNum.one(conductor)
-    reduced: dict[int, list[CycNum]] = {}
-    for i, row in enumerate(rows):
-        if _insert(reduced, row + [one if j == i else zero for j in range(n)], n)[0] is None:
-            raise SingularMatrixError("matrix is singular")
-    return [reduced[c][n:] for c in range(n)]
+    columns = solve(rows, [[one if i == j else zero for i in range(n)] for j in range(n)])
+    if any(col is None for col in columns):
+        raise SingularMatrixError("matrix is singular")
+    return [list(row) for row in zip(*columns)]
 
 
 def solve(matrix, rhs_columns: Sequence[Sequence[CycNum]]) -> list[list[CycNum] | None]:

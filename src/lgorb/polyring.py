@@ -127,9 +127,6 @@ class Poly:
     def constant_term(self) -> CycNum:
         return self.coeff(tuple([0] * self.arity))
 
-    def total_degree(self) -> int:
-        return max(map(sum, self.terms), default=0)
-
     def leading_monomial(self) -> Monomial:
         if not self.terms:
             raise ValueError("zero polynomial has no leading monomial")
@@ -293,34 +290,6 @@ def partial_derivative(p: Poly, i: int) -> Poly:
             lowered = mon[:i] + (e - 1,) + mon[i + 1 :]
             terms[lowered] = coeff * e
     return Poly(p.arity, terms, p.conductor)
-
-
-def second_partials(p: Poly) -> list[list[Poly]]:
-    firsts = [partial_derivative(p, i) for i in range(p.arity)]
-    return [[partial_derivative(firsts[i], j) for j in range(p.arity)] for i in range(p.arity)]
-
-
-def _poly_det(rows: list[list[Poly]], arity: int, conductor: int) -> Poly:
-    """Determinant of a matrix of polynomials by cofactor expansion."""
-    n = len(rows)
-    if n == 0:
-        return Poly.constant(1, arity, conductor)
-    if n == 1:
-        return rows[0][0]
-    total = Poly.zero(arity, conductor)
-    for j in range(n):
-        entry = rows[0][j]
-        if entry.is_zero():
-            continue
-        minor = [[rows[i][k] for k in range(n) if k != j] for i in range(1, n)]
-        cofactor = entry * _poly_det(minor, arity, conductor)
-        total = total + (cofactor if j % 2 == 0 else -cofactor)
-    return total
-
-
-def hessian(p: Poly) -> Poly:
-    """det of the matrix of second partials, expanded symbolically."""
-    return _poly_det(second_partials(p), p.arity, p.conductor)
 
 
 def compose_linear(p: Poly, columns: Sequence[Sequence[CycNum]]) -> Poly:

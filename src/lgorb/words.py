@@ -52,7 +52,10 @@ def parse_word(text: str) -> GeneratorWord:
                 break
             raise WordParseError(f"unexpected token at position {pos}: {rest[:10]!r}")
         base = match.group(1)
-        exp = int(match.group(2)) if match.group(2) is not None else 1
+        try:
+            exp = int(match.group(2) or 1)
+        except ValueError:  # more digits than int() reads
+            raise WordParseError(f"exponent at position {match.start(2)} is too long") from None
         tokens.append((base, exp))
         pos = match.end()
     if not tokens:

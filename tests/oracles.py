@@ -98,7 +98,7 @@ def slice_reduce(p: Poly, f: Poly, degree: int, basis_monomials) -> dict:
     columns = []
     for i in range(arity):
         dp = partial_derivative(f, i)
-        for m in monomials_of_degree(arity, degree - (f.total_degree() - 1)):
+        for m in monomials_of_degree(arity, degree - (max(map(sum, f.terms)) - 1)):
             col = [zero] * len(slice_mons)
             for mm, cc in dp.terms.items():
                 col[index[tuple(a + b for a, b in zip(m, mm))]] = cc
@@ -133,6 +133,25 @@ def dense_normal_form_klein(p: Poly, f: Poly, basis_family) -> dict:
             if c:
                 out[m] = out.get(m, CycNum.zero(p.conductor)) + c
     return {m: c for m, c in out.items() if c}
+
+
+def hessian(p: Poly) -> Poly:
+    """det of the matrix of second partials, expanded symbolically by
+    cofactors along the first row (used for arity 0-3)."""
+
+    def det(rows):
+        if not rows:
+            return Poly.constant(1, p.arity, p.conductor)
+        total = Poly.zero(p.arity, p.conductor)
+        for j, entry in enumerate(rows[0]):
+            if entry:
+                minor = [row[:j] + row[j + 1 :] for row in rows[1:]]
+                cofactor = entry * det(minor)
+                total = total + (cofactor if j % 2 == 0 else -cofactor)
+        return total
+
+    firsts = [partial_derivative(p, i) for i in range(p.arity)]
+    return det([[partial_derivative(d, j) for j in range(p.arity)] for d in firsts])
 
 
 def hessian_by_cofactors(f: Poly) -> Poly:
@@ -672,7 +691,7 @@ def residue_pairing(u: Poly, v: Poly, algebra) -> CycNum:
     if algebra.graded_dims[-1] != 1:
         raise ValueError("top graded piece is not one-dimensional")
     top_index = algebra.milnor - 1
-    hess_top = algebra.hessian_class[top_index]
+    hess_top = algebra.vector(hessian(algebra.source))[top_index]
     product_vec = algebra.multiply(algebra.vector(u), algebra.vector(v))
     return product_vec[top_index] / hess_top
 

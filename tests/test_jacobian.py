@@ -4,21 +4,23 @@ from itertools import product as iter_product
 
 import pytest
 
-from lgorb import linalg
-from lgorb.catalog import catalog_group
+from lgorb import jacobian, linalg
+from lgorb.catalog import CATALOG_KEYS, catalog_group
 from lgorb.errors import NonIsolatedSingularityError
 from lgorb.exactnum import CycNum, zeta
 from lgorb.jacobian import (
     buchberger,
+    hilbert_dims,
     jacobian_algebra,
     normal_form,
     quotient_basis,
 )
 from lgorb.orbifold import build_sector
-from lgorb.polyring import Poly, WeightSystem, hessian, mon_divides, partial_derivative
+from lgorb.polyring import Poly, WeightSystem, mon_divides, partial_derivative
 from oracles import (
     dense_normal_form_klein,
     fixpoint_buchberger,
+    hessian,
     poly_from_vector,
     residue_pairing,
 )
@@ -174,7 +176,7 @@ def test_graded_dims_palindromic_for_restrictions(klein, klein_algebra):
 
 
 def test_hessian_class_nonzero(klein_algebra):
-    assert any(klein_algebra.hessian_class)
+    assert any(klein_algebra.vector(hessian(klein_algebra.source)))
     assert klein_algebra.graded_dims[-1] == 1
 
 
@@ -295,3 +297,65 @@ def test_linear_class_matches_normal_form(klein_algebra):
             units = [tuple(int(j == c) for j in range(algebra.arity)) for c in range(algebra.arity)]
             form = Poly(algebra.arity, dict(zip(units, coeffs)), n)
             assert algebra.linear_class(coeffs) == algebra.vector(form)
+
+
+def _counted_dims(f: Poly, w: WeightSystem) -> tuple[int, ...]:
+    """Graded dimensions counted from the standard monomials of a Groebner
+    basis of the partials, without `jacobian_algebra`."""
+    gb = buchberger([partial_derivative(f, i) for i in range(f.arity)])
+    degrees = [w.weighted_degree(m) for m in quotient_basis(gb)]
+    return tuple(degrees.count(d) for d in range(max(degrees) + 1))
+
+
+def test_hilbert_dims_match_counted_standard_monomials(klein, fermat):
+    """The closed form of the weights equals the count of standard
+    monomials by weighted degree, with weights of 1 and 2."""
+    one = CycNum.one(28)
+    weighted = Poly(3, {(2, 0, 0): one, (0, 4, 0): one, (0, 0, 4): one}, 28)
+    sextic = Poly(3, {(3, 0, 0): one, (0, 6, 0): one, (0, 0, 6): one}, 28)
+    cases = [
+        (*klein, (1, 3, 6, 7, 6, 3, 1)),
+        (*fermat, (1, 3, 6, 7, 6, 3, 1)),
+        (weighted, WeightSystem((2, 1, 1), 4), (1, 2, 3, 2, 1)),
+        (sextic, WeightSystem((2, 1, 1), 6), (1, 2, 4, 6, 8, 8, 8, 6, 4, 2, 1)),
+    ]
+    for f, w, expected in cases:
+        assert hilbert_dims(w) == _counted_dims(f, w) == expected
+    assert hilbert_dims(WeightSystem((), 4)) == (1,)
+
+
+def test_hilbert_dims_match_every_catalog_sector_algebra(klein):
+    """Over the class representatives of the 22 catalog groups, every
+    distinct sector algebra's graded dimensions are the closed form of its
+    weights, and the count of its standard monomials agrees."""
+    f, w = klein
+    seen = {}
+    for key in CATALOG_KEYS:
+        for hat in (False, True):
+            group = catalog_group(key, hat=hat)
+            for first, _ in group.conjugacy().classes:
+                algebra = build_sector(f, group.elements[first], w).algebra
+                seen[(algebra.source.cache_key(), algebra.weights)] = algebra
+    assert {a.arity for a in seen.values()} == {0, 1, 2, 3}
+    for algebra in seen.values():
+        dims = hilbert_dims(algebra.weights)
+        assert algebra.graded_dims == dims
+        if algebra.arity:
+            assert _counted_dims(algebra.source, algebra.weights) == dims
+
+
+def test_a_quotient_basis_that_misses_a_monomial_is_rejected(klein, monkeypatch):
+    """Dropping one degree-3 standard monomial leaves the Hessian class
+    nonzero but breaks the graded dimensions, which the algebra checks."""
+    f, w = klein
+    full = quotient_basis
+
+    def short(gb):
+        basis = full(gb)
+        basis.remove(next(m for m in basis if sum(m) == 3))
+        return basis
+
+    monkeypatch.setattr(jacobian, "quotient_basis", short)
+    monkeypatch.setattr(jacobian, "_ALGEBRA_CACHE", {})
+    with pytest.raises(NonIsolatedSingularityError, match="graded dimensions"):
+        jacobian_algebra(f, w)

@@ -88,6 +88,19 @@ def test_engine_entry_points_take_their_settings_as_plain_arguments():
     assert not hasattr(polyring, "resolve_weights")
 
 
+def test_the_hessian_and_the_total_degree_are_gone():
+    """The Jacobian algebra checks its graded dimensions against the closed
+    form of the weights, so the package keeps no symbolic Hessian (the
+    tests take theirs from the oracles) and no total degree, which nothing
+    called."""
+    assert "hessian" not in lgorb.__all__
+    assert "hilbert_dims" not in lgorb.__all__
+    for name in ("hessian", "second_partials", "_poly_det"):
+        assert not hasattr(polyring, name), name
+    assert not hasattr(polyring.Poly, "total_degree")
+    assert not hasattr(jacobian.JacobianAlgebra, "hessian_class")
+
+
 def test_export_use_check_skips_a_name_inside_its_own_definition():
     source = """
 import lgorb.jacobian as jac

@@ -24,6 +24,9 @@ def test_parse_word_examples():
     assert word_matrix("-I") == -generator_matrix("T") ** 3
     assert parse_word("R * S^2  T").tokens == (("R", 1), ("S", 2), ("T", 1))
     assert parse_word("-IS^2").tokens == (("-I", 1), ("S", 2))
+    exponent = int("1" * 23)
+    assert parse_word("S^" + "1" * 23).tokens == (("S", exponent),)
+    assert word_matrix("S^" + "1" * 23) == generator_matrix("S") ** (exponent % 7)
 
 
 def test_parse_word_errors():
@@ -34,6 +37,9 @@ def test_parse_word_errors():
         parse_word("")
     with pytest.raises(WordParseError):
         parse_word("R$")
+    # past the interpreter's limit on digits in int()
+    with pytest.raises(WordParseError, match="exponent at position 3 is too long"):
+        parse_word("RS^" + "1" * 5000)
     with pytest.raises(WordParseError):
         GeneratorWord(()).evaluate({})
 
@@ -288,6 +294,10 @@ def test_cli_input_errors_exit_2(tmp_path, capsys):
             '{"generators": ["S"], "matrices": [[[1]]]}',
             "error: give 'generators' or 'matrices', not both\n",
         ),
+        (
+            json.dumps({"generators": ["R^" + "7" * 5000]}),
+            "error: exponent at position 2 is too long\n",
+        ),
     ],
     ids=[
         "top-level-list",
@@ -304,6 +314,7 @@ def test_cli_input_errors_exit_2(tmp_path, capsys):
         "conductor-true",
         "unknown-key",
         "generators-and-matrices",
+        "exponent-5000-digits",
     ],
 )
 def test_cli_malformed_group_file_exit_2(tmp_path, capsys, content, message):
@@ -380,13 +391,44 @@ def test_cli_verify_all_is_deterministic(capsys):
     assert first == second
 
 
+def _module_env():
+    """The environment of a fresh interpreter that imports this lgorb."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(lgorb.__file__)))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+
+
 def _run_module(*args):
     """`python -m lgorb ...` in a fresh interpreter, importing this lgorb."""
-    src = os.path.dirname(os.path.dirname(os.path.abspath(lgorb.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env = _module_env()
     return subprocess.run(
         [sys.executable, "-m", "lgorb", *args], env=env, capture_output=True, text=True, timeout=120
     )
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+def test_closed_stdout_exits_141_in_silence(unbuffered):
+    """`verify --all` into a pipe whose reader has already gone: exit 141,
+    not 1 ("reference mismatch"), and nothing on stderr, whether the write
+    or the flush at exit meets the closed pipe."""
+    env = _module_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "lgorb", "verify", "--all"],
+            env=env,
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (141, "")
+    assert cli.EXIT_BROKEN_PIPE == 141
 
 
 def test_python_dash_m_lgorb_runs_the_cli():
