@@ -8,7 +8,10 @@ Commands:
 
 Exit codes: 0 success, 1 reference mismatch (verify), 2 input error,
 3 inadmissible group, 141 (128 + SIGPIPE) stdout closed by its reader.
-Output files are written atomically.
+Every error is one `error: ...` line on stderr: an argv fault, or the first
+fault of a group file, named by its JSON path (an entry's conductor must
+divide 28 and is checked first).  Output files are written atomically,
+through a symlink and keeping the file's mode.
 """
 
 from __future__ import annotations
@@ -18,12 +21,14 @@ import csv
 import io
 import json
 import os
+import stat
 import sys
 import tempfile
 from typing import Optional
 
 from lgorb import catalog
 from lgorb.errors import InadmissibleGroupError, LgorbError, NotASymmetryError
+from lgorb.exactnum import CycNum
 from lgorb.matgroup import FiniteMatrixGroup, GMatrix, generate_closure, hat_extend
 from lgorb.orbifold import HHReport, compute_hh
 from lgorb.words import parse_word
@@ -43,12 +48,14 @@ _GROUP_FILE_KEYS = frozenset({"generators", "matrices", "hat", "conductor"})
 
 
 def _load_group_file(path: str) -> tuple[FiniteMatrixGroup, bool]:
+    """Read a group file in one pass.  Each level is checked where the walk
+    reaches it, and the first fault is an InputError naming its JSON path."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             data = json.load(handle)
     except OSError as exc:
         raise InputError(f"cannot read group file: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also a long number, deep nesting
         raise InputError(f"group file is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise InputError("group file must hold a JSON object")
@@ -65,53 +72,46 @@ def _load_group_file(path: str) -> tuple[FiniteMatrixGroup, bool]:
     stated = data.get("conductor", conductor)
     if type(stated) is not int or stated != conductor:
         raise InputError(f"'conductor' must be {conductor}, the polynomial's conductor")
-    words = data.get("generators")
-    matrices = data.get("matrices")
-    if words is not None and not (
-        isinstance(words, list) and all(isinstance(w, str) for w in words)
-    ):
+    words, matrices = data.get("generators"), data.get("matrices")
+    if words is not None and not (isinstance(words, list) and all(type(w) is str for w in words)):
         raise InputError("'generators' must be a list of word strings")
     if matrices is not None and not isinstance(matrices, list):
         raise InputError("'matrices' must be a list of matrices")
     if words:
-        try:
-            gens = [catalog.word_matrix(w) for w in words]
-        except LgorbError as exc:
-            raise InputError(str(exc)) from exc
-        group = generate_closure(gens, words=[str(parse_word(w)) for w in words])
-    elif matrices:
-        _check_entry_conductors(matrices, conductor)
-        try:
-            gens = [GMatrix.from_lists(m) for m in matrices]
-        except (LgorbError, ValueError, KeyError, TypeError) as exc:
-            raise InputError(f"bad matrix data: {exc}") from exc
+        parsed = [parse_word(text) for text in words]  # a WordParseError reaches main
+        names = {base: catalog.generator_matrix(base) for w in parsed for base, _ in w.tokens}
+        gens = [word.evaluate(names) for word in parsed]
+        return generate_closure(gens, words=[str(word) for word in parsed]), hat
+    if matrices:
+        gens = [_read_matrix(m, f"matrices[{i}]", conductor) for i, m in enumerate(matrices)]
         if any(g.n != gens[0].n for g in gens):
             raise InputError("matrices must share one dimension")
-        gens = [GMatrix([[e.lift(conductor) for e in row] for row in g.rows]) for g in gens]
-        group = generate_closure(gens)
-    else:
-        raise InputError("group file needs 'generators' (words) or 'matrices'")
-    return group, hat
+        return generate_closure(gens), hat
+    raise InputError("group file needs 'generators' (words) or 'matrices'")
 
 
-def _check_entry_conductors(matrices: list, conductor: int) -> None:
-    """Reject an entry whose conductor does not divide the polynomial's
-    before any field is built, since building a field costs time that
-    grows with its conductor.  The conductor is read as `CycNum.from_dict`
-    reads it, a plain int; any other entry is left to `GMatrix.from_lists`,
-    which reports it as bad matrix data."""
-    for matrix in matrices:
-        for row in matrix if isinstance(matrix, list) else ():
-            for entry in row if isinstance(row, list) else ():
-                try:
-                    stated = entry["conductor"]
-                except (LookupError, TypeError):
-                    continue
-                if type(stated) is int and stated > 0 and conductor % stated:
-                    raise InputError(
-                        f"matrix conductor {stated} does not divide "
-                        f"the polynomial's conductor {conductor}"
-                    )
+def _read_matrix(matrix, where: str, conductor: int) -> GMatrix:
+    """A square matrix, its entries lifted to `conductor`.  An entry's own
+    conductor is checked first: building its field costs time that grows with it."""
+    if not isinstance(matrix, list) or not matrix:
+        raise InputError(f"{where}: must be a non-empty list of rows")
+    rows = []
+    for r, row in enumerate(matrix):
+        if not isinstance(row, list) or len(row) != len(matrix):
+            raise InputError(f"{where}[{r}]: must be a list of {len(matrix)} entries")
+        rows.append([])
+        for c, entry in enumerate(row):
+            at = f"{where}[{r}][{c}]"
+            if not isinstance(entry, dict):
+                raise InputError(f"{at}: must be an object with 'conductor' and 'coeffs'")
+            stated = entry.get("conductor")
+            if type(stated) is int and stated > 0 and conductor % stated:
+                raise InputError(f"{at}.conductor: must divide {conductor}, got {stated}")
+            try:
+                rows[r].append(CycNum.from_dict(entry).lift(conductor))
+            except ValueError as exc:
+                raise InputError(f"{at}.{exc}") from None
+    return GMatrix(rows)
 
 
 def _resolve_group(spec: str, hat_flag: bool) -> tuple[FiniteMatrixGroup, str]:
@@ -120,7 +120,7 @@ def _resolve_group(spec: str, hat_flag: bool) -> tuple[FiniteMatrixGroup, str]:
         try:
             group = catalog.catalog_group(key, hat=hat_flag)
         except KeyError as exc:
-            raise InputError(str(exc)) from exc
+            raise InputError(exc.args[0]) from exc
         label = f"catalog:{key}" + ("^" if hat_flag else "")
         return group, label
     if spec.startswith("file:"):
@@ -203,16 +203,32 @@ def _render_csv(report: HHReport, label: str) -> str:
 
 
 def _write_out(text: str, out: Optional[str]):
+    """Write `text` to stdout, or replace the file `out` atomically.  A
+    symlink is written through and keeps pointing at its target; the new
+    file keeps the old one's mode, or takes the umask's for a new path.  An
+    existing target that is not a regular file, such as a FIFO, is written
+    in place."""
     if out is None:
         sys.stdout.write(text)
         return
-    directory = os.path.dirname(os.path.abspath(out))
+    target = os.path.realpath(out)
     try:
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".lgorb-out-")
+        try:
+            mode = os.stat(target).st_mode
+        except FileNotFoundError:
+            mask = os.umask(0)
+            os.umask(mask)
+            mode = stat.S_IFREG | 0o666 & ~mask  # a new regular file, as open() makes it
+        if not stat.S_ISREG(mode):
+            with open(target, "w", encoding="utf-8") as handle:
+                handle.write(text)
+            return
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".lgorb-out-")
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as handle:
+                os.fchmod(handle.fileno(), stat.S_IMODE(mode))
                 handle.write(text)
-            os.replace(tmp, out)
+            os.replace(tmp, target)
         except BaseException:
             os.unlink(tmp)
             raise
@@ -290,7 +306,7 @@ def _cmd_verify(args) -> int:
         try:
             line, ok = _verify_one(key, hat)
         except KeyError as exc:
-            raise InputError(str(exc)) from exc
+            raise InputError(exc.args[0]) from exc
         sys.stdout.write(line + "\n")
         all_ok = all_ok and ok
     if all_ok:
@@ -300,8 +316,20 @@ def _cmd_verify(args) -> int:
     return EXIT_MISMATCH
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports an argv fault as an InputError, so `main` prints it in one
+    line and exits 2; subparsers inherit the class.  Help goes through
+    stdout's own write, so a closed pipe reaches `main` as well."""
+
+    def error(self, message):
+        raise InputError(message)
+
+    def print_help(self, file=None):
+        (file or sys.stdout).write(self.format_help())
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="lgorb",
         description="Exact orbifold state-space dimensions for the Klein quartic",
     )
@@ -329,10 +357,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        code = args.func(args)
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as done:  # argparse exits after printing --help
+            code = done.code
+        else:
+            code = args.func(args)
         sys.stdout.flush()  # a closed pipe shows here, not in the flush at exit
         return code
     except BrokenPipeError:

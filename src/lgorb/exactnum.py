@@ -488,24 +488,32 @@ class CycNum:
         }
 
     @classmethod
-    def from_dict(cls, data: dict) -> "CycNum":
-        """Inverse of `to_dict`.  The conductor must be an int and each
-        numerator and denominator an int or a decimal string; a bool, a
-        float or anything else raises ValueError instead of being rounded."""
-        conductor = data["conductor"]
-        if type(conductor) is not int:
-            raise ValueError(f"conductor must be an integer, got {conductor!r}")
-        pairs = [tuple(pair) for pair in data["coeffs"]]
-        for part in (part for pair in pairs for part in pair):
-            if type(part) not in (int, str):
-                raise ValueError(
-                    f"coefficient numerators and denominators must be integers "
-                    f"or strings, got {part!r}"
-                )
-        try:
-            coeffs = [Fraction(int(num), int(den)) for num, den in pairs]
-        except ZeroDivisionError:
-            raise ValueError("coefficient with denominator 0") from None
+    def from_dict(cls, data) -> "CycNum":
+        """Inverse of `to_dict`, total on decoded JSON: any fault raises a ValueError
+        that starts with the faulty field; a float or a bool is refused, never rounded."""
+        if not isinstance(data, dict):
+            raise ValueError(f"must be an object with 'conductor' and 'coeffs', got {data!r:.40}")
+        conductor, pairs = data.get("conductor"), data.get("coeffs")
+        if type(conductor) is not int or conductor < 1:
+            raise ValueError(f"conductor: must be a positive integer, got {conductor!r:.40}")
+        if not isinstance(pairs, (list, tuple)):
+            raise ValueError(f"coeffs: must be a list of pairs, got {pairs!r:.40}")
+        coeffs = []
+        for i, pair in enumerate(pairs):
+            if isinstance(pair, (list, tuple)) and {type(part) for part in pair} <= {int, str}:
+                try:
+                    num, den = map(int, pair)  # also fails past int()'s digit limit
+                    coeffs.append(Fraction(num, den))
+                    continue
+                except (ValueError, ZeroDivisionError):
+                    pass
+            raise ValueError(
+                f"coeffs[{i}]: must be [numerator, nonzero denominator], each an integer "
+                f"or a decimal string, got {pair!r:.40}"
+            )
+        phi = _field(conductor).phi
+        if len(coeffs) != phi:
+            raise ValueError(f"coeffs: conductor {conductor} needs {phi} pairs, got {len(pairs)}")
         return cls.from_coeffs(conductor, coeffs)
 
 

@@ -187,10 +187,6 @@ class GMatrix:
     def to_lists(self) -> list[list[dict]]:
         return [[e.to_dict() for e in row] for row in self.rows]
 
-    @classmethod
-    def from_lists(cls, data) -> "GMatrix":
-        return cls([[CycNum.from_dict(e) for e in row] for row in data])
-
 
 def fixed_space(g: GMatrix) -> tuple[tuple[tuple[CycNum, ...], ...], tuple[int, ...]]:
     """Columns spanning ker(g - id), in the deterministic reduced-row-echelon

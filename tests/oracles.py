@@ -731,7 +731,7 @@ def read_report(data: dict) -> HHReport:
         SectorReport(
             rep_index=s["rep_index"],
             rep_word=s["rep_word"],
-            rep_matrix=GMatrix.from_lists(s["rep_matrix"]),
+            rep_matrix=GMatrix([[CycNum.from_dict(e) for e in row] for row in s["rep_matrix"]]),
             class_size=s["class_size"],
             centralizer_order=s["centralizer_order"],
             fix_dim=s["fix_dim"],

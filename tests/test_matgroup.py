@@ -254,7 +254,7 @@ def test_group_serialization(slf):
     small = catalog_group("e")
     data = json.loads(json.dumps([m.to_lists() for m in small.elements]))
     assert all(e["conductor"] == 28 for m in data for row in m for e in row)
-    restored = [GMatrix.from_lists(m) for m in data]
+    restored = [GMatrix([[CycNum.from_dict(e) for e in row] for row in m]) for m in data]
     assert restored == list(small.elements)
 
 

@@ -2,8 +2,10 @@ import errno
 import json
 import os
 import random
+import stat
 import subprocess
 import sys
+import threading
 import warnings
 
 import pytest
@@ -161,11 +163,15 @@ def _matrix_data(rows):
 
 def _identity_file(corner: dict) -> str:
     """A one-matrix group file: the 3 x 3 identity over Q with its top-left
-    entry replaced.  Read with int(), each corner used below is 1."""
+    entry replaced by `corner`, any JSON value."""
     zero, one = CycNum.zero(1), CycNum.one(1)
     rows = _matrix_data([[one if i == j else zero for j in range(3)] for i in range(3)])
     rows[0][0] = corner
     return json.dumps({"matrices": [rows]})
+
+
+# what `CycNum.from_dict` says of a malformed [numerator, denominator] pair
+_PAIR = "must be [numerator, nonzero denominator], each an integer or a decimal string"
 
 
 def test_cli_matrix_file_lifts_dividing_conductors(tmp_path, capsys):
@@ -197,8 +203,7 @@ def test_cli_matrix_file_rejects_foreign_conductor(tmp_path, capsys):
         assert cli.main(["compute", "--group", f"file:{path}"]) == cli.EXIT_INPUT
         captured = capsys.readouterr()
         assert captured.err == (
-            f"error: matrix conductor {conductor} does not divide "
-            "the polynomial's conductor 28\n"
+            f"error: matrices[0][0][0].conductor: must divide 28, got {conductor}\n"
         )
         assert captured.out == ""
 
@@ -253,24 +258,23 @@ def test_cli_input_errors_exit_2(tmp_path, capsys):
         ('{"generators": "RS"}', "error: 'generators' must be a list of word strings\n"),
         (
             json.dumps({"matrices": [[[{"conductor": 28, "coeffs": [["1", "0"]]}]]]}),
-            "error: bad matrix data: coefficient with denominator 0\n",
+            f"error: matrices[0][0][0].coeffs[0]: {_PAIR}, got ['1', '0']\n",
         ),
         (
             '{"matrices": [[[{"conductor": Infinity, "coeffs": [["1", "1"]]}]]]}',
-            "error: bad matrix data: conductor must be an integer, got inf\n",
+            "error: matrices[0][0][0].conductor: must be a positive integer, got inf\n",
         ),
         (
             _identity_file({"conductor": True, "coeffs": [["1", "1"]]}),
-            "error: bad matrix data: conductor must be an integer, got True\n",
+            "error: matrices[0][0][0].conductor: must be a positive integer, got True\n",
         ),
         (
             _identity_file({"conductor": 1.5, "coeffs": [["1", "1"]]}),
-            "error: bad matrix data: conductor must be an integer, got 1.5\n",
+            "error: matrices[0][0][0].conductor: must be a positive integer, got 1.5\n",
         ),
         (
             _identity_file({"conductor": 1, "coeffs": [[1.9, "1"]]}),
-            "error: bad matrix data: coefficient numerators and denominators must be "
-            "integers or strings, got 1.9\n",
+            f"error: matrices[0][0][0].coeffs[0]: {_PAIR}, got [1.9, '1']\n",
         ),
         ('{"matrices": "abc"}', "error: 'matrices' must be a list of matrices\n"),
         ('{"generators": ["RS^3"], "hat": "false"}', "error: 'hat' must be true or false\n"),
@@ -298,6 +302,53 @@ def test_cli_input_errors_exit_2(tmp_path, capsys):
             json.dumps({"generators": ["R^" + "7" * 5000]}),
             "error: exponent at position 2 is too long\n",
         ),
+        (
+            '{"conductor": ' + "1" * 5000 + ', "generators": ["S"]}',
+            "error: group file is not valid JSON: Exceeds the limit (4300 digits) for integer "
+            "string conversion: value has 5000 digits; use sys.set_int_max_str_digits() to "
+            "increase the limit\n",
+        ),
+        (
+            '{"matrices": ' + "[" * 100_000 + "]" * 100_000 + "}",
+            "error: group file is not valid JSON: maximum recursion depth exceeded while "
+            "decoding a JSON array from a unicode string\n",
+        ),
+        (
+            json.dumps({"matrices": [[1, 2, 3]]}),
+            "error: matrices[0][0]: must be a list of 3 entries\n",
+        ),
+        (
+            _identity_file(None),
+            "error: matrices[0][0][0]: must be an object with 'conductor' and 'coeffs'\n",
+        ),
+        (
+            _identity_file([["1", "1"]]),
+            "error: matrices[0][0][0]: must be an object with 'conductor' and 'coeffs'\n",
+        ),
+        (
+            _identity_file({"conductor": 1, "coeffs": [["1"]]}),
+            f"error: matrices[0][0][0].coeffs[0]: {_PAIR}, got ['1']\n",
+        ),
+        (
+            _identity_file({"conductor": 1, "coeffs": [["1" * 5000, "1"]]}),
+            f"error: matrices[0][0][0].coeffs[0]: {_PAIR}, got ['{'1' * 38}\n",
+        ),
+        (
+            _identity_file({"conductor": 1}),
+            "error: matrices[0][0][0].coeffs: must be a list of pairs, got None\n",
+        ),
+        (
+            _identity_file({"conductor": 28, "coeffs": [["1", "1"]]}),
+            "error: matrices[0][0][0].coeffs: conductor 28 needs 12 pairs, got 1\n",
+        ),
+        (
+            _identity_file({"conductor": 0, "coeffs": [["1", "1"]]}),
+            "error: matrices[0][0][0].conductor: must be a positive integer, got 0\n",
+        ),
+        (
+            json.dumps({"matrices": [[[{"conductor": 1, "coeffs": [["1", "1"]]}] * 2, []]]}),
+            "error: matrices[0][1]: must be a list of 2 entries\n",
+        ),
     ],
     ids=[
         "top-level-list",
@@ -315,6 +366,17 @@ def test_cli_input_errors_exit_2(tmp_path, capsys):
         "unknown-key",
         "generators-and-matrices",
         "exponent-5000-digits",
+        "json-number-5000-digits",
+        "nesting-100000-deep",
+        "row-of-ints",
+        "null-entry",
+        "entry-nested-lists",
+        "one-element-pair",
+        "numerator-5000-digits",
+        "coeffs-missing",
+        "coeffs-too-few",
+        "entry-conductor-0",
+        "ragged-rows",
     ],
 )
 def test_cli_malformed_group_file_exit_2(tmp_path, capsys, content, message):
@@ -324,6 +386,92 @@ def test_cli_malformed_group_file_exit_2(tmp_path, capsys, content, message):
     captured = capsys.readouterr()
     assert captured.err == message
     assert captured.out == ""
+
+
+def test_cli_group_file_not_utf8_exit_2(tmp_path, capsys):
+    path = tmp_path / "group.json"
+    path.write_bytes(b'{"generators": ["\xff"]}')
+    assert cli.main(["compute", "--group", f"file:{path}"]) == cli.EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "error: group file is not valid JSON: 'utf-8' codec can't decode byte 0xff "
+        "in position 17: invalid start byte\n"
+    )
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["compute"], "the following arguments are required: --group"),
+        (
+            ["compute", "--group", "catalog:a", "--format", "xml"],
+            "argument --format: invalid choice: 'xml' (choose from 'json', 'csv', 'text')",
+        ),
+        (
+            ["frobnicate"],
+            "argument command: invalid choice: 'frobnicate' "
+            "(choose from 'catalog', 'compute', 'verify')",
+        ),
+        (["compute", "--group", "catalog:zz"], "unknown catalog key 'zz'"),
+        (["verify", "--key", "zz"], "unknown catalog key 'zz'"),
+        (["verify", "--key", "a", "--hat"], "no recorded reference for the extension of 'a'"),
+    ],
+    ids=["missing-group", "bad-format", "unknown-command", "catalog-key", "verify-key", "no-hat"],
+)
+def test_cli_argv_faults_are_one_line_exit_2(capsys, argv, message):
+    """Argv faults leave through `main` like any input error: one line,
+    exit 2, no usage text; a key is quoted once, not as a KeyError repr."""
+    assert cli.main(argv) == cli.EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+
+
+def test_cli_help_returns_0(capsys):
+    assert cli.main(["compute", "--help"]) == cli.EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: lgorb compute") and captured.err == ""
+
+
+def test_cli_out_writes_through_a_symlink_and_keeps_the_mode(tmp_path, capsys):
+    assert cli.main(["compute", "--group", "catalog:a"]) == cli.EXIT_OK
+    report = capsys.readouterr().out
+    target, link = tmp_path / "report.txt", tmp_path / "link.txt"
+    target.write_text("old")
+    target.chmod(0o644)
+    link.symlink_to(target.name)
+    assert cli.main(["compute", "--group", "catalog:a", "--out", str(link)]) == cli.EXIT_OK
+    assert link.is_symlink() and os.readlink(link) == target.name
+    assert target.read_text() == report
+    assert stat.S_IMODE(target.stat().st_mode) == 0o644
+    assert sorted(os.listdir(tmp_path)) == ["link.txt", "report.txt"]
+
+
+def test_cli_out_new_file_takes_the_umask(tmp_path):
+    out = tmp_path / "new.txt"
+    old = os.umask(0o027)
+    try:
+        assert cli.main(["compute", "--group", "catalog:a", "--out", str(out)]) == cli.EXIT_OK
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(out.stat().st_mode) == 0o640
+
+
+def test_cli_out_writes_into_a_fifo(tmp_path, capsys):
+    assert cli.main(["compute", "--group", "catalog:a"]) == cli.EXIT_OK
+    report = capsys.readouterr().out
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_text()), daemon=True)
+    reader.start()
+    try:
+        assert cli.main(["compute", "--group", "catalog:a", "--out", str(fifo)]) == cli.EXIT_OK
+    finally:
+        reader.join(timeout=10)
+    assert received == [report]
+    assert stat.S_ISFIFO(fifo.stat().st_mode)
 
 
 def test_cli_grading_error_is_one_line_exit_2(monkeypatch, capsys):
@@ -405,11 +553,29 @@ def _run_module(*args):
     )
 
 
-@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
-def test_closed_stdout_exits_141_in_silence(unbuffered):
-    """`verify --all` into a pipe whose reader has already gone: exit 141,
-    not 1 ("reference mismatch"), and nothing on stderr, whether the write
-    or the flush at exit meets the closed pipe."""
+@pytest.mark.parametrize(
+    "argv, unbuffered",
+    [
+        (["verify", "--all"], True),
+        (["verify", "--all"], False),
+        (["--help"], True),
+        (["--help"], False),
+        (["compute", "--help"], True),
+        (["compute", "--help"], False),
+    ],
+    ids=[
+        "unbuffered",
+        "buffered",
+        "help-unbuffered",
+        "help-buffered",
+        "compute-help-unbuffered",
+        "compute-help-buffered",
+    ],
+)
+def test_closed_stdout_exits_141_in_silence(argv, unbuffered):
+    """A report or a help text into a pipe whose reader has already gone:
+    exit 141, not 1 ("reference mismatch"), and nothing on stderr, whether
+    the write or the flush at exit meets the closed pipe."""
     env = _module_env()
     env.pop("PYTHONUNBUFFERED", None)
     if unbuffered:
@@ -418,7 +584,7 @@ def test_closed_stdout_exits_141_in_silence(unbuffered):
     os.close(read_end)
     try:
         done = subprocess.run(
-            [sys.executable, "-m", "lgorb", "verify", "--all"],
+            [sys.executable, "-m", "lgorb", *argv],
             env=env,
             stdout=write_end,
             stderr=subprocess.PIPE,
