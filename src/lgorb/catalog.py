@@ -214,7 +214,12 @@ def catalog_entry(key: str) -> CatalogEntry:
 
 
 @lru_cache(maxsize=None)
-def _base_group(key: str) -> FiniteMatrixGroup:
+def catalog_group(key: str, hat: bool = False) -> FiniteMatrixGroup:
+    """The closure of a catalog entry's generator words; hat adjoins -id
+    to the cached closure."""
+    if hat:
+        # by keyword, as callers pass it: lru_cache keys (key,) and (key, hat=False) apart
+        return hat_extend(catalog_group(key, hat=False))
     entry = catalog_entry(key)
     generators = [word_matrix(w) for w in entry.generator_words]
     group = generate_closure(generators, words=list(entry.generator_words))
@@ -224,14 +229,6 @@ def _base_group(key: str) -> FiniteMatrixGroup:
             f"expected {entry.order}"
         )
     return group
-
-
-@lru_cache(maxsize=None)
-def catalog_group(key: str, hat: bool = False) -> FiniteMatrixGroup:
-    """The closure of a catalog entry's generator words; hat adjoins -id
-    to the cached closure."""
-    group = _base_group(key)
-    return hat_extend(group) if hat else group
 
 
 def expected(key: str, hat: bool = False) -> ExpectedResult:

@@ -10,8 +10,10 @@ Exit codes: 0 success, 1 reference mismatch (verify), 2 input error,
 3 inadmissible group, 141 (128 + SIGPIPE) stdout closed by its reader.
 Every error is one `error: ...` line on stderr: an argv fault, or the first
 fault of a group file, named by its JSON path (an entry's conductor must
-divide 28 and is checked first).  Output files are written atomically,
-through a symlink and keeping the file's mode.
+divide 28 and is checked first).  The CLI acts on the Klein quartic alone:
+generators are 3x3 over conductor 28, checked for size, determinant and
+symmetry before closure.  Output files are written atomically, through a
+symlink and keeping the file's mode.
 """
 
 from __future__ import annotations
@@ -27,10 +29,11 @@ import tempfile
 from typing import Optional
 
 from lgorb import catalog
-from lgorb.errors import InadmissibleGroupError, LgorbError, NotASymmetryError
+from lgorb.errors import InadmissibleGroupError, LgorbError, NotASymmetryError, WordParseError
 from lgorb.exactnum import CycNum
 from lgorb.matgroup import FiniteMatrixGroup, GMatrix, generate_closure, hat_extend
-from lgorb.orbifold import HHReport, compute_hh
+from lgorb.orbifold import HHReport, check_generators, compute_hh
+from lgorb.polyring import Poly
 from lgorb.words import parse_word
 
 EXIT_OK = 0
@@ -68,31 +71,36 @@ def _load_group_file(path: str) -> tuple[FiniteMatrixGroup, bool]:
     hat = data.get("hat", False)
     if not isinstance(hat, bool):
         raise InputError("'hat' must be true or false")
-    conductor = catalog.klein_quartic()[0].conductor
-    stated = data.get("conductor", conductor)
-    if type(stated) is not int or stated != conductor:
-        raise InputError(f"'conductor' must be {conductor}, the polynomial's conductor")
+    f = catalog.klein_quartic()[0]
+    stated = data.get("conductor", f.conductor)
+    if type(stated) is not int or stated != f.conductor:
+        raise InputError(f"'conductor' must be {f.conductor}, the polynomial's conductor")
     words, matrices = data.get("generators"), data.get("matrices")
     if words is not None and not (isinstance(words, list) and all(type(w) is str for w in words)):
         raise InputError("'generators' must be a list of word strings")
     if matrices is not None and not isinstance(matrices, list):
         raise InputError("'matrices' must be a list of matrices")
     if words:
-        parsed = [parse_word(text) for text in words]  # a WordParseError reaches main
-        names = {base: catalog.generator_matrix(base) for w in parsed for base, _ in w.tokens}
-        gens = [word.evaluate(names) for word in parsed]
-        return generate_closure(gens, words=[str(word) for word in parsed]), hat
-    if matrices:
-        gens = [_read_matrix(m, f"matrices[{i}]", conductor) for i, m in enumerate(matrices)]
-        if any(g.n != gens[0].n for g in gens):
-            raise InputError("matrices must share one dimension")
-        return generate_closure(gens), hat
-    raise InputError("group file needs 'generators' (words) or 'matrices'")
+        key, parsed = "generators", []
+        for i, text in enumerate(words):
+            try:
+                parsed.append(parse_word(text))
+            except WordParseError as exc:
+                raise InputError(f"generators[{i}]: {exc}") from None
+        bases = {base: catalog.generator_matrix(base) for w in parsed for base, _ in w.tokens}
+        gens, printed = [w.evaluate(bases) for w in parsed], [str(w) for w in parsed]
+    elif matrices:
+        key, printed = "matrices", None
+        gens = [_read_matrix(m, f"matrices[{i}]", f) for i, m in enumerate(matrices)]
+    else:
+        raise InputError("group file needs 'generators' (words) or 'matrices'")
+    check_generators(f, gens, [f"{key}[{i}]" for i in range(len(gens))])
+    return generate_closure(gens, words=printed), hat
 
 
-def _read_matrix(matrix, where: str, conductor: int) -> GMatrix:
-    """A square matrix, its entries lifted to `conductor`.  An entry's own
-    conductor is checked first: building its field costs time that grows with it."""
+def _read_matrix(matrix, where: str, f: Poly) -> GMatrix:
+    """A square matrix of f's size, its entries lifted to f's conductor.  An entry's
+    own conductor is checked first: building its field costs time that grows with it."""
     if not isinstance(matrix, list) or not matrix:
         raise InputError(f"{where}: must be a non-empty list of rows")
     rows = []
@@ -105,12 +113,14 @@ def _read_matrix(matrix, where: str, conductor: int) -> GMatrix:
             if not isinstance(entry, dict):
                 raise InputError(f"{at}: must be an object with 'conductor' and 'coeffs'")
             stated = entry.get("conductor")
-            if type(stated) is int and stated > 0 and conductor % stated:
-                raise InputError(f"{at}.conductor: must divide {conductor}, got {stated}")
+            if type(stated) is int and stated > 0 and f.conductor % stated:
+                raise InputError(f"{at}.conductor: must divide {f.conductor}, got {stated}")
             try:
-                rows[r].append(CycNum.from_dict(entry).lift(conductor))
+                rows[r].append(CycNum.from_dict(entry).lift(f.conductor))
             except ValueError as exc:
                 raise InputError(f"{at}.{exc}") from None
+    if len(rows) != f.arity:
+        raise InputError(f"{where}: must be {f.arity}x{f.arity}, got {len(rows)}x{len(rows)}")
     return GMatrix(rows)
 
 
@@ -331,7 +341,8 @@ class _ArgumentParser(argparse.ArgumentParser):
 def build_parser() -> argparse.ArgumentParser:
     parser = _ArgumentParser(
         prog="lgorb",
-        description="Exact orbifold state-space dimensions for the Klein quartic",
+        description="Exact orbifold state-space dimensions for the Klein quartic alone "
+        "(group files: 3x3 matrices over conductor 28, or words in R, S, T, -I)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -419,20 +419,8 @@ class CycNum:
             raise ConductorMismatchError(f"target conductor {m} not divisible by {n}")
         if m == n:
             return self
-        step = m // n
-        fm = _field(m)
-        out = [0] * fm.phi
-        for i, v in enumerate(self.nums):
-            if not v:
-                continue
-            e = i * step
-            if e < fm.phi:
-                out[e] += v
-            else:
-                for j, rj in enumerate(fm.row(e - fm.phi)):
-                    if rj:
-                        out[j] += v * rj
-        return CycNum(m, out, self.den)
+        terms = (zeta(m, i * (m // n)) * c for i, c in enumerate(self.coeffs) if c)
+        return sum(terms, CycNum.zero(m))
 
     def __eq__(self, other):
         if other is self:

@@ -309,7 +309,7 @@ def _class_invariants(
     `linalg.kernel_basis_with_free`."""
     sector = _build_sector(f, group.elements[rep], weights)
     algebra = sector.algebra
-    zgens = [i for i in group.subgroup_generator_indices(centralizer) if i != 0]
+    zgens = group.subgroup_generator_indices(centralizer)
     dims = invariant_degree_dims(group, sector, centralizer, zgens)
     actions: list[_DegreeAction] = []  # built when a first block needs a kernel
     zero, one = CycNum.zero(algebra.conductor), CycNum.one(algebra.conductor)
@@ -364,20 +364,16 @@ def _preserves(f: Poly, g: GMatrix) -> bool:
     return True
 
 
-def _validate_group(f: Poly, group: FiniteMatrixGroup):
-    """Generator checks suffice: det is a homomorphism, {1, -1} a subgroup,
-    and the generators generate the group (FiniteMatrixGroup enforces it).
-    Every generator is checked; `_preserves` answers a pair it has already
-    passed from its memo."""
-    one = CycNum.one(group.conductor)
-    for i in group.generator_indices:
-        d = group.elements[i].det
+def check_generators(f: Poly, generators: Sequence[GMatrix], names: Sequence[str]):
+    """The admissibility rule, which suffices for the group generated: every
+    determinant is +/-1 (else InadmissibleGroupError naming the generator by
+    `names`), then every generator preserves f (NotASymmetryError, from the
+    memoized `_preserves`).  det is a homomorphism and {1, -1} a subgroup."""
+    for g, name in zip(generators, names):
+        d, one = g.det, CycNum.one(g.conductor)
         if d != one and d != -one:
-            name = group.word_for(i) or f"#{i}"
-            raise InadmissibleGroupError(
-                f"generator {name} has determinant {d}, not +/-1"
-            )
-    for g in group.generators:
+            raise InadmissibleGroupError(f"generator {name} has determinant {d}, not +/-1")
+    for g in generators:
         _preserves(f, g)
 
 
@@ -386,7 +382,8 @@ def compute_hh(f: Poly, group: FiniteMatrixGroup, weights: WeightSystem) -> HHRe
 
     One report per conjugacy class: the Z(g)-invariants of Jac(f^g) xi_g.
     """
-    _validate_group(f, group)
+    names = [group.word_for(i) or f"#{i}" for i in group.generator_indices]
+    check_generators(f, group.generators, names)
     conj = group.conjugacy()
     reports = [
         _class_report(f, group, rep, members, conj.centralizers[rep], weights)
@@ -436,7 +433,8 @@ def identity_sector_products(
     Jacobian ideal is weighted-homogeneous, so normal forms keep degree,
     and no standard monomial lies above the top degree.
     """
-    _validate_group(f, group)
+    names = [group.word_for(i) or f"#{i}" for i in group.generator_indices]
+    check_generators(f, group.generators, names)
     sector, _, vectors = _class_invariants(f, group, 0, range(group.order), weights)
     algebra = sector.algebra
     basis = tuple(_class_poly(algebra, v) for v in vectors)

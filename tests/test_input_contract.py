@@ -10,10 +10,11 @@ a documented way:
 
 The files start from three valid ones: the README's words file, the
 generators of `e^` as `GMatrix.to_lists` writes them, and a conductor-1
-permutation matrix.  With the fixed files and the argv cases the battery
-runs 329 cases.  Mutations that change a matrix entry's value are left
-out on purpose: such a generator is no symmetry, and the closure runs to
-its cap before that is checked, which takes seconds at conductor 28.
+permutation matrix.  Besides the structural mutations, value mutations
+change one numerator of a matrix entry or exchange two unequal entries of
+a matrix.  Such a file is well formed, so it must exit 0 or 3: a generator
+is refused by its determinant or its symmetry before any closure.  With
+the fixed files and the argv cases the battery runs 389 cases.
 """
 
 import contextlib
@@ -51,6 +52,7 @@ def _permutation_file():
 BASES = {"words": _words_file, "e-hat": _e_hat_file, "permutation": _permutation_file}
 # (base, seed, count): a valid e^ costs ~25 ms to compute, a permutation ~10 ms
 FILE_MUTATIONS = [("words", 1, 100), ("e-hat", 2, 40), ("permutation", 3, 130)]
+VALUE_MUTATIONS = [("e-hat", 4, 30), ("permutation", 5, 30)]
 
 
 def _nodes(value, path=()):
@@ -114,11 +116,31 @@ def _mutate(root, rng):
     return f"{op} at {list(path)}", text
 
 
-def _file_cases(base, seed, count):
+def _mutate_value(root, rng):
+    """One change of a matrix entry's value that keeps the file well formed:
+    a numerator set to another integer, or two unequal entries of one
+    matrix exchanged."""
+    entries = [(path, value) for path, value in _nodes(root) if len(path) == 4]
+    path, entry = rng.choice(entries)
+    if rng.random() < 1 / 3:
+        op = "exchange"
+        other_path, other = rng.choice(
+            [(p, v) for p, v in entries if p[:2] == path[:2] and v != entry]
+        )
+        _replace(root, path, other)
+        _replace(root, other_path, entry)
+    else:
+        op, pair = "numerator", rng.choice(entry["coeffs"])
+        old = int(pair[0])
+        pair[0] = str(rng.choice(sorted({old + 1, old - 1, -old, 7, rng.randint(-99, 99)} - {old})))
+    return f"{op} at {list(path)}", json.dumps(root)
+
+
+def _file_cases(base, seed, count, mutate=_mutate):
     rng = random.Random(seed)
     cases = []
     for _ in range(count):
-        label, text = _mutate(BASES[base](), rng)
+        label, text = mutate(BASES[base](), rng)
         cases.append((f"{base}: {label}", text))
     return cases
 
@@ -203,9 +225,9 @@ def _run(argv):
     return code, out.getvalue(), err.getvalue(), time.perf_counter() - start
 
 
-def _breach(code, out, err, seconds):
+def _breach(code, out, err, seconds, exits):
     """What the case's outcome breaks of the contract, or None."""
-    if code not in (0, 1, 2, 3):
+    if code not in exits:
         return f"exit {code!r}"
     if "Traceback" in out or "Traceback" in err:
         return "traceback"
@@ -218,10 +240,10 @@ def _breach(code, out, err, seconds):
     return None
 
 
-def _check(cases):
+def _check(cases, exits=(0, 1, 2, 3)):
     breaches = []
     for label, argv in cases:
-        breach = _breach(*_run(argv))
+        breach = _breach(*_run(argv), exits)
         if breach:
             breaches.append(f"{label}: {breach}")
     assert not breaches, f"{len(breaches)} of {len(cases)} cases break the contract:\n" + (
@@ -241,6 +263,13 @@ def _file_argv(tmp_path, cases):
 @pytest.mark.parametrize("base, seed, count", FILE_MUTATIONS)
 def test_mutated_group_files_keep_the_contract(tmp_path, base, seed, count):
     _check(_file_argv(tmp_path, _file_cases(base, seed, count)))
+
+
+@pytest.mark.parametrize("base, seed, count", VALUE_MUTATIONS)
+def test_value_mutated_group_files_keep_the_contract(tmp_path, base, seed, count):
+    """A well-formed file is never an input error: its group is admissible
+    (exit 0) or one of its generators is refused (exit 3)."""
+    _check(_file_argv(tmp_path, _file_cases(base, seed, count, _mutate_value)), exits=(0, 3))
 
 
 def test_fixed_group_files_keep_the_contract(tmp_path):

@@ -354,8 +354,9 @@ def test_inadmissible_group_rejected(klein):
     f, w = klein
     jf = generator_matrix("j_f")
     group = generate_closure([jf])
-    with pytest.raises(InadmissibleGroupError):
-        compute_hh(f, group, w)
+    for call in (compute_hh, identity_sector_products):
+        with pytest.raises(InadmissibleGroupError, match=r"^generator #1 has determinant "):
+            call(f, group, w)
 
 
 def test_non_symmetry_group_rejected(klein):

@@ -6,13 +6,14 @@ import stat
 import subprocess
 import sys
 import threading
+import time
 import warnings
 
 import pytest
 
 import lgorb
 from lgorb import cli
-from lgorb.catalog import generator_matrix, word_matrix
+from lgorb.catalog import catalog_group, generator_matrix, word_matrix
 from lgorb.exactnum import CycNum, zeta
 from lgorb.errors import GradingError, WordParseError
 from lgorb.words import GeneratorWord, parse_word
@@ -161,6 +162,12 @@ def _matrix_data(rows):
     return [[e.to_dict() for e in row] for row in rows]
 
 
+def _cycle(n):
+    """The cyclic permutation matrix of x1 -> x2 -> ... -> xn -> x1 over Q."""
+    zero, one = CycNum.zero(1), CycNum.one(1)
+    return [[one if j == (i + 1) % n else zero for j in range(n)] for i in range(n)]
+
+
 def _identity_file(corner: dict) -> str:
     """A one-matrix group file: the 3 x 3 identity over Q with its top-left
     entry replaced by `corner`, any JSON value."""
@@ -175,8 +182,7 @@ _PAIR = "must be [numerator, nonzero denominator], each an integer or a decimal 
 
 
 def test_cli_matrix_file_lifts_dividing_conductors(tmp_path, capsys):
-    zero, one = CycNum.zero(1), CycNum.one(1)
-    cycle = _matrix_data([[zero, one, zero], [zero, zero, one], [one, zero, zero]])
+    cycle = _matrix_data(_cycle(3))
     path = tmp_path / "cycle.json"
     path.write_text(json.dumps({"matrices": [cycle]}))
     assert cli.main(["compute", "--group", f"file:{path}", "--format", "json"]) == cli.EXIT_OK
@@ -213,7 +219,7 @@ def test_cli_inadmissible_group_exit_3(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(bad))
     assert cli.main(["compute", "--group", f"file:{path}"]) == cli.EXIT_INADMISSIBLE
-    assert capsys.readouterr().err.startswith("error: generator #1 has determinant ")
+    assert capsys.readouterr().err.startswith("error: generator matrices[0] has determinant ")
 
 
 def test_cli_non_symmetry_exit_3(tmp_path, capsys):
@@ -227,6 +233,32 @@ def test_cli_non_symmetry_exit_3(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err == "error: a generator does not preserve the polynomial\n"
     assert captured.out == ""
+
+
+def test_cli_non_symmetric_e_hat_file_exits_3_before_closure(tmp_path, capsys):
+    """The generators of e^ with one numerator changed: the determinant
+    check refuses the file at once, with no closure run towards its cap."""
+    data = {"matrices": [m.to_lists() for m in catalog_group("e", hat=True).generators]}
+    data["matrices"][0][0][0]["coeffs"][0][0] = "7"
+    path = tmp_path / "e_hat.json"
+    path.write_text(json.dumps(data))
+    start = time.perf_counter()
+    assert cli.main(["compute", "--group", f"file:{path}"]) == cli.EXIT_INADMISSIBLE
+    assert time.perf_counter() - start < 0.5
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: generator matrices[0] has determinant ")
+    assert captured.err.count("\n") == 1 and captured.out == ""
+
+
+def test_cli_checks_every_determinant_before_symmetry(tmp_path, capsys):
+    """The transposition x1 <-> x2 (determinant -1, no symmetry) comes first,
+    j_f second: the determinant of the second generator is refused first."""
+    zero, one = CycNum.zero(1), CycNum.one(1)
+    swap = _matrix_data([[zero, one, zero], [one, zero, zero], [zero, zero, one]])
+    path = tmp_path / "group.json"
+    path.write_text(json.dumps({"matrices": [swap, generator_matrix("j_f").to_lists()]}))
+    assert cli.main(["compute", "--group", f"file:{path}"]) == cli.EXIT_INADMISSIBLE
+    assert capsys.readouterr().err.startswith("error: generator matrices[1] has determinant ")
 
 
 def test_cli_input_errors_exit_2(tmp_path, capsys):
@@ -300,7 +332,15 @@ def test_cli_input_errors_exit_2(tmp_path, capsys):
         ),
         (
             json.dumps({"generators": ["R^" + "7" * 5000]}),
-            "error: exponent at position 2 is too long\n",
+            "error: generators[0]: exponent at position 2 is too long\n",
+        ),
+        (
+            json.dumps({"generators": ["S", "Q"]}),
+            "error: generators[1]: unexpected token at position 0: 'Q'\n",
+        ),
+        (
+            json.dumps({"matrices": [_matrix_data(_cycle(4))]}),
+            "error: matrices[0]: must be 3x3, got 4x4\n",
         ),
         (
             '{"conductor": ' + "1" * 5000 + ', "generators": ["S"]}',
@@ -366,6 +406,8 @@ def test_cli_input_errors_exit_2(tmp_path, capsys):
         "unknown-key",
         "generators-and-matrices",
         "exponent-5000-digits",
+        "second-word-bad-token",
+        "matrix-4x4",
         "json-number-5000-digits",
         "nesting-100000-deep",
         "row-of-ints",
