@@ -37,6 +37,7 @@ from lgorb.orbifold import (
     Sector,
     SectorReport,
     build_sector,
+    compute_dims,
     compute_hh,
     identity_sector_products,
     invariant_subspace,
@@ -76,6 +77,7 @@ __all__ = [
     "build_sector",
     "catalog_entries",
     "catalog_group",
+    "compute_dims",
     "compute_hh",
     "cyclotomic_polynomial",
     "expected",

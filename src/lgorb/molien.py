@@ -13,6 +13,8 @@ w and d is the total weight.  Averaging the trace over Z(g) (Molien) gives
 the invariant dimension in each weighted degree.  The trace is a class
 function of Z(g), so one representative per class suffices; the classes
 come from the group's own orbit walk, `FiniteMatrixGroup.class_orbits`.
+The identity's trace is the Hilbert series of the sector's weights
+(`jacobian.hilbert_dims`), so a sector needs no Jacobian algebra here.
 
 No field inverse is needed.  With B = h^-1|Fix(g) = A^-1 and
 chi_B(t) = det(t - B), det(1 - t B) is chi_B with its coefficients
@@ -38,6 +40,7 @@ from typing import Sequence
 from lgorb import linalg
 from lgorb.errors import CharacterError, GradingError
 from lgorb.exactnum import CycNum
+from lgorb.jacobian import hilbert_dims
 
 
 def restriction_matrix(h, sector) -> tuple[tuple[CycNum, ...], ...]:
@@ -139,18 +142,18 @@ def invariant_degree_dims(
     Raises CharacterError unless every average is a non-negative integer
     and the dimensions read the same from degree top down: the residue
     pairing of an admissible group pairs degree n with degree top - n."""
-    algebra = sector.algebra
-    top = algebra.top_degree()
-    weights = algebra.weights
+    weights, conductor = sector.weights, group.conductor
+    graded_dims = hilbert_dims(weights)
+    top = len(graded_dims) - 1
     inverse = group.inverse_index()
-    sums = [CycNum.from_rational(n, algebra.conductor) for n in algebra.graded_dims]
+    sums = [CycNum.from_rational(n, conductor) for n in graded_dims]
     for rep, members in group.class_orbits(centralizer, zgens):
         if rep == 0:
             continue  # the identity's trace is the Hilbert series: sums' start
         h = group.elements[rep]
         binv = restriction_matrix(group.elements[inverse[rep]], sector)
         trace = _graded_trace(h.det, binv, weights.weights, weights.total, top)
-        scale = CycNum.from_rational(len(members), algebra.conductor)
+        scale = CycNum.from_rational(len(members), conductor)
         sums = [s.addmul(scale, t) if t else s for s, t in zip(sums, trace)]
     dims = []
     for n, s in enumerate(sums):

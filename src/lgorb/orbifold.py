@@ -15,17 +15,19 @@ g - id, so all reports are reproducible; invariant dimensions do not
 depend on that choice.
 
 The invariant dimension of every weighted-degree block comes from
-characters (`lgorb.molien`), with no normal form and no kernel.  A basis
-is computed only where a block is neither empty nor full: in the identity
-sector, where the invariants form a subalgebra, from products of
-lower-degree invariants, stopping at the predicted rank; otherwise, or
-when the products fall short, as a kernel of the block's action, whose
-dimension must equal the prediction.  Every basis is in the convention of
-`linalg.kernel_basis_with_free`, which depends on the subspace alone, so
-the route leaves no trace in the report.  The products route is a second
-path beside the kernel, kept because the benchmark justifies it: the
-`products` and `conjugate_sweep` workloads run measurably slower with
-kernels alone.
+characters (`lgorb.molien`) over the fixed locus and its weights alone:
+`compute_dims` builds no Jacobian algebra, action or kernel, and a
+sector builds its algebra on first use, so `compute_hh` builds one only
+for a class with invariants.  A basis is computed only where a block is
+neither empty nor full: in the identity sector, where the invariants
+form a subalgebra, from products of lower-degree invariants, stopping at
+the predicted rank; otherwise, or when the products fall short, as a
+kernel of the block's action, whose dimension must equal the prediction.
+Every basis is in the convention of `linalg.kernel_basis_with_free`,
+which depends on the subspace alone, so the route leaves no trace in the
+report.  The products route is a second path beside the kernel, kept
+because the benchmark justifies it: the `products` and `conjugate_sweep`
+workloads run measurably slower with kernels alone.
 
 The action needs no division: h^-1 also commutes with g, so
 (h|Fix(g))^-1 = h^-1|Fix(g) is read off the group's own inverse.  The
@@ -52,7 +54,7 @@ images are the largest per-element data.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Optional, Sequence
 
 from lgorb import linalg
@@ -64,7 +66,7 @@ from lgorb.errors import (
     ShapeError,
 )
 from lgorb.exactnum import CycNum
-from lgorb.jacobian import JacobianAlgebra, jacobian_algebra
+from lgorb.jacobian import JacobianAlgebra, hilbert_dims, jacobian_algebra
 from lgorb.matgroup import FiniteMatrixGroup, GMatrix, fixed_space
 from lgorb.molien import invariant_degree_dims, restriction_matrix
 from lgorb.polyring import (
@@ -79,21 +81,26 @@ Matrix = tuple[tuple[CycNum, ...], ...]
 
 @dataclass(frozen=True)
 class Sector:
-    """One summand Jac(f^g) xi_g in sector coordinates."""
+    """Fix(g) and its weights for one summand Jac(f^g) xi_g; its algebra is built on first use."""
 
+    f: Poly
     g: GMatrix
     fix_basis: tuple[tuple[CycNum, ...], ...]
-    algebra: JacobianAlgebra
     free_rows: tuple[int, ...]
+    weights: WeightSystem
 
     @property
     def fix_dim(self) -> int:
         return len(self.fix_basis)
 
+    @cached_property
+    def algebra(self) -> JacobianAlgebra:
+        return jacobian_algebra(restrict_to_subspace(self.f, self.fix_basis), self.weights)
+
 
 def build_sector(f: Poly, g: GMatrix, weights: WeightSystem) -> Sector:
-    """Fixed locus, restriction and Jacobian algebra data for one element;
-    raises NotASymmetryError unless g preserves f."""
+    """Fixed locus and sector weights for one element; raises
+    NotASymmetryError unless g preserves f."""
     _preserves(f, g)
     return _build_sector(f, g, weights)
 
@@ -119,9 +126,7 @@ def _build_sector(f: Poly, g: GMatrix, weights: WeightSystem) -> Sector:
     for col, r in zip(basis, free_rows):
         if any(v and ws[i] != ws[r] for i, v in enumerate(col)):
             raise GradingError("the fixed locus is not spanned by weight-homogeneous vectors")
-    restricted_weights = WeightSystem([ws[r] for r in free_rows], weights.total)
-    algebra = jacobian_algebra(restrict_to_subspace(f, basis), restricted_weights)
-    return Sector(g, basis, algebra, free_rows)
+    return Sector(f, g, basis, free_rows, WeightSystem([ws[r] for r in free_rows], weights.total))
 
 
 def sector_action(h: GMatrix, sector: Sector) -> Matrix:
@@ -259,33 +264,6 @@ class HHReport:
         }
 
 
-def _class_report(
-    f: Poly,
-    group: FiniteMatrixGroup,
-    rep: int,
-    members,
-    centralizer: Sequence[int],
-    weights: WeightSystem,
-) -> SectorReport:
-    """The report of one class, with the invariant basis of
-    `_class_invariants` written as polynomials."""
-    g = group.elements[rep]
-    sector, dims, vectors = _class_invariants(f, group, rep, centralizer, weights)
-    algebra = sector.algebra
-    return SectorReport(
-        rep_index=rep,
-        rep_word=group.word_for(rep),
-        rep_matrix=g,
-        class_size=len(members),
-        centralizer_order=len(centralizer),
-        fix_dim=sector.fix_dim,
-        sector_dim_raw=algebra.milnor,
-        invariant_dim=sum(dims),
-        degree_dims=dims,
-        invariant_basis=tuple(_class_poly(algebra, v) for v in vectors),
-    )
-
-
 def _class_poly(algebra: JacobianAlgebra, vector) -> Poly:
     """The polynomial of standard monomials with the given coordinates."""
     terms = {algebra.basis[i]: c for i, c in enumerate(vector) if c}
@@ -293,24 +271,22 @@ def _class_poly(algebra: JacobianAlgebra, vector) -> Poly:
 
 
 def _class_invariants(
-    f: Poly,
     group: FiniteMatrixGroup,
-    rep: int,
+    sector: Sector,
     centralizer: Sequence[int],
-    weights: WeightSystem,
-) -> tuple[Sector, tuple[int, ...], list[tuple[CycNum, ...]]]:
-    """The sector of class `rep`, its invariant dimension per degree and its
-    invariant basis as coordinates over the sector algebra's basis.
+    dims: tuple[int, ...],
+) -> list[tuple[CycNum, ...]]:
+    """The invariant basis of a class's sector, whose invariant dimension
+    per degree is `dims`, as coordinates over the sector algebra's basis;
+    a class with no invariants builds no algebra.
 
-    Each degree block's invariant dimension comes from the characters;
-    its basis is empty, the whole block, a span of products of invariants
-    (identity sector) or a kernel of the block's action, in that order of
-    preference, and always in the convention of
+    Each degree block's basis is empty, the whole block, a span of
+    products of invariants (identity sector) or a kernel of the block's
+    action, in that order of preference, and always in the convention of
     `linalg.kernel_basis_with_free`."""
-    sector = _build_sector(f, group.elements[rep], weights)
+    if not any(dims):
+        return []
     algebra = sector.algebra
-    zgens = group.subgroup_generator_indices(centralizer)
-    dims = invariant_degree_dims(group, sector, centralizer, zgens)
     actions: list[_DegreeAction] = []  # built when a first block needs a kernel
     zero, one = CycNum.zero(algebra.conductor), CycNum.one(algebra.conductor)
     by_degree: list[list[tuple[CycNum, ...]]] = []
@@ -320,13 +296,13 @@ def _class_invariants(
         elif dim == 0:
             vecs = []
         else:
-            products = _products(algebra, by_degree, b, rng) if rep == 0 else ()
+            products = _products(algebra, by_degree, b, rng) if sector.g.is_identity() else ()
             vecs = linalg.kernel_form_basis(products, dim)
             if len(vecs) < dim:
                 inverse = group.inverse_index()
                 actions = actions or [
                     _DegreeAction(group.elements[i], group.elements[inverse[i]], sector)
-                    for i in zgens
+                    for i in group.subgroup_generator_indices(centralizer)
                 ]
                 found, vecs = invariant_subspace([a.block(b) for a in actions])
                 if found != dim:
@@ -336,7 +312,7 @@ def _class_invariants(
                     )
         before, after = (zero,) * rng.start, (zero,) * (algebra.milnor - rng.stop)
         by_degree.append([before + tuple(v) + after for v in vecs])
-    return sector, dims, [v for vecs in by_degree for v in vecs]
+    return [v for vecs in by_degree for v in vecs]
 
 
 def _products(algebra: JacobianAlgebra, by_degree: list[list[tuple]], b: int, rng: range):
@@ -377,19 +353,52 @@ def check_generators(f: Poly, generators: Sequence[GMatrix], names: Sequence[str
         _preserves(f, g)
 
 
+def _check_group(f: Poly, group: FiniteMatrixGroup):
+    """`check_generators` on the group's generators, named by word, else `#index`."""
+    names = [group.word_for(i) or f"#{i}" for i in group.generator_indices]
+    check_generators(f, group.generators, names)
+
+
+def compute_dims(f: Poly, group: FiniteMatrixGroup, weights: WeightSystem) -> list[tuple]:
+    """Invariant dimension per weighted degree of each conjugacy class, in
+    `conjugacy()` order, so the identity class comes first: characters
+    over the fixed locus and its weights, with no Jacobian algebra."""
+    _check_group(f, group)
+    conj = group.conjugacy()
+    dims = []
+    for rep, _ in conj.classes:
+        centralizer = conj.centralizers[rep]
+        sector = _build_sector(f, group.elements[rep], weights)
+        zgens = group.subgroup_generator_indices(centralizer)
+        dims.append(invariant_degree_dims(group, sector, centralizer, zgens))
+    return dims
+
+
 def compute_hh(f: Poly, group: FiniteMatrixGroup, weights: WeightSystem) -> HHReport:
     """Invariant dimensions of the orbifold state space of (f, group).
 
     One report per conjugacy class: the Z(g)-invariants of Jac(f^g) xi_g.
     """
-    names = [group.word_for(i) or f"#{i}" for i in group.generator_indices]
-    check_generators(f, group.generators, names)
+    dims = compute_dims(f, group, weights)
     conj = group.conjugacy()
-    reports = [
-        _class_report(f, group, rep, members, conj.centralizers[rep], weights)
-        for rep, members in conj.classes
-    ]
-    identity_report = next(r for r in reports if r.rep_index == 0)
+    reports = []
+    for (rep, members), class_dims in zip(conj.classes, dims):
+        sector, centralizer = _build_sector(f, group.elements[rep], weights), conj.centralizers[rep]
+        vectors = _class_invariants(group, sector, centralizer, class_dims)
+        reports.append(
+            SectorReport(
+                rep_index=rep,
+                rep_word=group.word_for(rep),
+                rep_matrix=sector.g,
+                class_size=len(members),
+                centralizer_order=len(centralizer),
+                fix_dim=sector.fix_dim,
+                sector_dim_raw=sum(hilbert_dims(sector.weights)),
+                invariant_dim=sum(class_dims),
+                degree_dims=class_dims,
+                invariant_basis=tuple(_class_poly(sector.algebra, v) for v in vectors),
+            )
+        )
     group_info = {
         "order": group.order,
         "dimension": group.n,
@@ -401,8 +410,8 @@ def compute_hh(f: Poly, group: FiniteMatrixGroup, weights: WeightSystem) -> HHRe
     return HHReport(
         group=group_info,
         sectors=tuple(reports),
-        identity_dimension_vector=identity_report.degree_dims,
-        total_dim=sum(r.invariant_dim for r in reports),
+        identity_dimension_vector=dims[0],
+        total_dim=sum(map(sum, dims)),
     )
 
 
@@ -433,9 +442,10 @@ def identity_sector_products(
     Jacobian ideal is weighted-homogeneous, so normal forms keep degree,
     and no standard monomial lies above the top degree.
     """
-    names = [group.word_for(i) or f"#{i}" for i in group.generator_indices]
-    check_generators(f, group.generators, names)
-    sector, _, vectors = _class_invariants(f, group, 0, range(group.order), weights)
+    _check_group(f, group)
+    sector, everything = _build_sector(f, group.elements[0], weights), range(group.order)
+    dims = invariant_degree_dims(group, sector, everything, group.generator_indices)
+    vectors = _class_invariants(group, sector, everything, dims)
     algebra = sector.algebra
     basis = tuple(_class_poly(algebra, v) for v in vectors)
     matrix = [list(row) for row in zip(*vectors)]

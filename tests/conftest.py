@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from lgorb import compute_hh, jacobian_algebra
+from lgorb import compute_dims, compute_hh, jacobian_algebra
 from lgorb.catalog import catalog_group, klein_quartic
 from lgorb.exactnum import CycNum
 from lgorb.polyring import Poly, WeightSystem
@@ -38,10 +38,10 @@ def rng():
 
 
 class _HHCache:
-    """Memoizes compute_hh.  A report depends on the element order (rep
-    indices, class order, bases) and the generator words, so reports are
-    keyed by both; a total depends only on the element set, so conjugate
-    copies of the same subgroup share one."""
+    """Memoizes compute_hh and the totals of compute_dims.  A report
+    depends on the element order (rep indices, class order, bases) and the
+    generator words, so reports are keyed by both; a total depends only on
+    the element set, so conjugate copies of the same subgroup share one."""
 
     def __init__(self, f, w):
         self.f = f
@@ -58,7 +58,7 @@ class _HHCache:
     def total(self, group):
         key = frozenset(group.index)
         if key not in self._totals:
-            self._totals[key] = self.report(group).total_dim
+            self._totals[key] = sum(map(sum, compute_dims(self.f, group, self.w)))
         return self._totals[key]
 
 

@@ -20,6 +20,7 @@ from lgorb.orbifold import (
     _build_sector,
     _DegreeAction,
     build_sector,
+    compute_dims,
     compute_hh,
     identity_sector_products,
     invariant_subspace,
@@ -641,6 +642,46 @@ def test_characters_and_reports_match_the_kernel_route(klein, hh, key, how):
     disputed = {("g", False): 12, ("slf", True): 6, ("j", False): 12}
     if (key, how) in disputed:
         assert sum(sum(dims) for dims, _ in expected.values()) == disputed[key, how]
+
+
+_DIMS_GROUPS = [(key, hat) for key in CATALOG_KEYS for hat in (False, True)]
+_DIMS_GROUPS += [("a", 300), ("e", 304), ("i", 308)]
+
+
+@pytest.mark.parametrize(
+    "key, how",
+    _DIMS_GROUPS,
+    ids=[
+        key + ("^" if how is True else "" if how is False else f"@{how}")
+        for key, how in _DIMS_GROUPS
+    ],
+)
+def test_dims_path_matches_the_reports(klein, hh, key, how):
+    """The one cross-check of the dims path against the Groebner route:
+    `compute_dims` gives each class's degree dimensions, in the order of
+    the report's classes."""
+    f, w = klein
+    group = catalog_group(key, hat=how) if isinstance(how, bool) else _dense_conjugate(key, how)
+    assert compute_dims(f, group, w) == [s.degree_dims for s in hh.report(group).sectors]
+
+
+def test_only_classes_with_invariants_build_an_algebra(klein):
+    """On a conjugate that no other test meets, `compute_dims` builds no
+    Jacobian algebra, and `compute_hh` builds one only for the classes
+    with a nonzero invariant dimension (3 of the 10 classes of i^)."""
+    f, w = klein
+    group = hat_extend(_dense_conjugate("i", 411))
+    before = set(jacobian._ALGEBRA_CACHE)
+    dims = compute_dims(f, group, w)
+    assert set(jacobian._ALGEBRA_CACHE) == before
+    report = compute_hh(f, group, w)
+    built = set()
+    for s in report.sectors:
+        if s.invariant_dim:
+            algebra = _build_sector(f, s.rep_matrix, w).algebra  # built by compute_hh
+            built.add((algebra.source.cache_key(), algebra.weights.weights, algebra.weights.total))
+    assert sum(not any(d) for d in dims) == 7
+    assert set(jacobian._ALGEBRA_CACHE) - before <= built
 
 
 def test_weighted_characters_match_the_kernel_route():

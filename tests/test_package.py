@@ -73,6 +73,7 @@ def test_engine_entry_points_take_their_settings_as_plain_arguments():
     have one value outside the tests, so the entry points take no optional
     setting: generator words are the only defaulted parameter."""
     entry_points = {
+        orbifold.compute_dims: ["f", "group", "weights"],
         orbifold.compute_hh: ["f", "group", "weights"],
         orbifold.identity_sector_products: ["f", "group", "weights"],
         orbifold.build_sector: ["f", "g", "weights"],

@@ -442,6 +442,22 @@ def test_cli_group_file_not_utf8_exit_2(tmp_path, capsys):
     assert captured.out == ""
 
 
+def test_cli_large_matrix_is_refused_before_its_entries(tmp_path, capsys):
+    """A 300 x 300 identity over Q is refused by its size before any of its
+    90,000 entries is read; reading them first took over a second."""
+    zero, one = CycNum.zero(1), CycNum.one(1)
+    identity = [[one if i == j else zero for j in range(300)] for i in range(300)]
+    path = tmp_path / "group.json"
+    path.write_text(json.dumps({"matrices": [_matrix_data(identity)]}))
+    start = time.perf_counter()
+    assert cli.main(["compute", "--group", f"file:{path}"]) == cli.EXIT_INPUT
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert captured.err == "error: matrices[0]: must be 3x3, got 300x300\n"
+    assert captured.out == ""
+    assert elapsed < 0.3
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -571,6 +587,34 @@ def test_cli_verify_all_reports_documented_mismatches(capsys):
     assert any("slf^" in l and "computed 6" in l and "recorded 10" in l for l in mismatches)
     infos = [l for l in lines if l.startswith("INFO")]
     assert len(infos) == 1 and "j" in infos[0]
+
+
+_VERIFY_ALL = """\
+OK        slf    total 11
+OK        a      total 9
+OK        b      total 17
+OK        c      total 18
+OK        d      total 18
+OK        e      total 12
+OK        f      total 13
+MISMATCH  g      total computed 12 vs recorded 9
+OK        h      total 11
+OK        i      total 12
+INFO      j      total computed 12 vs recorded 14; identity computed 5 vs recorded 10; \
+vector computed (1, 0, 1, 1, 1, 0, 1) vs recorded (1, 0, 3, 2, 3, 0, 1)
+MISMATCH  slf^   total computed 6 vs recorded 10
+OK        e^     total 8
+verify: confirmed mismatches present
+"""
+
+
+def test_cli_verify_all_output_is_pinned(capsys):
+    """The whole stdout of verify --all, which reads the characters alone
+    (`compute_dims`), and its exit code 1 for the two recorded mismatches."""
+    assert cli.main(["verify", "--all"]) == cli.EXIT_MISMATCH
+    captured = capsys.readouterr()
+    assert captured.out == _VERIFY_ALL
+    assert captured.err == ""
 
 
 def test_cli_verify_all_is_deterministic(capsys):
