@@ -213,13 +213,17 @@ def catalog_entry(key: str) -> CatalogEntry:
     return _CATALOG[key]
 
 
-@lru_cache(maxsize=None)
 def catalog_group(key: str, hat: bool = False) -> FiniteMatrixGroup:
     """The closure of a catalog entry's generator words; hat adjoins -id
-    to the cached closure."""
+    to the cached closure.  Cached once per (key, hat), however the
+    arguments are spelled."""
+    return _catalog_group(key, hat)
+
+
+@lru_cache(maxsize=None)
+def _catalog_group(key: str, hat: bool) -> FiniteMatrixGroup:
     if hat:
-        # by keyword, as callers pass it: lru_cache keys (key,) and (key, hat=False) apart
-        return hat_extend(catalog_group(key, hat=False))
+        return hat_extend(_catalog_group(key, False))
     entry = catalog_entry(key)
     generators = [word_matrix(w) for w in entry.generator_words]
     group = generate_closure(generators, words=list(entry.generator_words))

@@ -99,19 +99,21 @@ def _load_group_file(path: str) -> tuple[FiniteMatrixGroup, bool]:
 
 
 def _read_matrix(matrix, where: str, f: Poly) -> GMatrix:
-    """A square matrix of f's size, its entries lifted to f's conductor.  A larger
-    matrix is refused before its entries are read, and an entry's own conductor
-    first: reading a matrix and building a field cost time that grows with size."""
+    """A square matrix of f's size, its entries lifted to f's conductor.  Every
+    row's shape, then a larger size, is refused before any entry is read, and an
+    entry's own conductor first: reading a matrix and building a field cost time
+    that grows with size."""
     if not isinstance(matrix, list) or not matrix:
         raise InputError(f"{where}: must be a non-empty list of rows")
     n = len(matrix)
-    wrong_size = InputError(f"{where}: must be {f.arity}x{f.arity}, got {n}x{n}")
-    if n > f.arity and all(isinstance(row, list) and len(row) == n for row in matrix):
-        raise wrong_size
-    rows = []
     for r, row in enumerate(matrix):
         if not isinstance(row, list) or len(row) != n:
             raise InputError(f"{where}[{r}]: must be a list of {n} entries")
+    wrong_size = InputError(f"{where}: must be {f.arity}x{f.arity}, got {n}x{n}")
+    if n > f.arity:
+        raise wrong_size
+    rows = []
+    for r, row in enumerate(matrix):
         rows.append([])
         for c, entry in enumerate(row):
             at = f"{where}[{r}][{c}]"

@@ -12,6 +12,13 @@ from those integer tables, as in the permutation-group representation of
 Holt, Eick and O'Brien, Handbook of Computational Group Theory (2005),
 ch. 4: no matrix is multiplied or inverted after closure.
 
+A closure whose generators are all elements of one live group that an
+earlier closure built walks that group's right tables instead, and
+multiplies no matrix: every catalog group is a subgroup of the order-336
+group.  The groups `generate_closure` and `hat_extend` build are held in a
+`weakref.WeakSet`, so the registry keeps no group alive that its callers
+have dropped.
+
 Matrix entries are interned: `GMatrix` keeps one canonical object per
 entry value (`_entry`), and `GMatrix.__mul__` reads each nonzero term a*b
 from a table of entry products keyed by the canonical pair
@@ -29,6 +36,7 @@ multiplied as an ordinary term.
 from __future__ import annotations
 
 import warnings
+import weakref
 from functools import lru_cache
 from typing import Optional, Sequence
 
@@ -37,6 +45,10 @@ from lgorb.errors import ClosureCapExceededError, ShapeError, SingularMatrixErro
 from lgorb.exactnum import CycNum
 
 DEFAULT_CLOSURE_CAP = 2048
+
+# Every live group that `generate_closure` or `hat_extend` built, held weakly:
+# a later closure whose generators all lie in one of them walks its tables.
+_CLOSED: "weakref.WeakSet[FiniteMatrixGroup]" = weakref.WeakSet()
 
 
 @lru_cache(maxsize=None)
@@ -419,6 +431,12 @@ def generate_closure(
     Element 0 is the identity; the rest appear in generation order.  When
     generator words are supplied, a word is tracked for every element.
     More than DEFAULT_CLOSURE_CAP elements raise ClosureCapExceededError.
+
+    When every generator is an element of one live group that an earlier
+    closure built (held weakly, so only while its callers keep it), the walk
+    follows that group's right tables instead of multiplying matrices: the
+    same elements (that group's objects) in the same order, with the same
+    words, generator indices and tables.
     """
     if not generators:
         raise ValueError("need at least one generator")
@@ -430,14 +448,25 @@ def generate_closure(
         g.require_invertible()
     if words is not None and len(words) != len(generators):
         raise ValueError("need one word per generator")
-    elements, tables, elem_words = _closure(
-        GMatrix.identity(n, conductor),
-        lambda m, k: m * generators[k],
-        len(generators),
-        words,
-        DEFAULT_CLOSURE_CAP,
-    )
-    return FiniteMatrixGroup(elements, [t[0] for t in tables], tables, elem_words)
+    holder = next((h for h in _CLOSED if all(g in h.index for g in generators)), None)
+    if holder is None:
+        elements, tables, elem_words = _closure(
+            GMatrix.identity(n, conductor),
+            lambda m, k: m * generators[k],
+            len(generators),
+            words,
+            DEFAULT_CLOSURE_CAP,
+        )
+    else:
+        right = holder._right_tables()
+        steps = [right[holder.index[g]] for g in generators]
+        indices, tables, elem_words = _closure(
+            0, lambda i, k: steps[k][i], len(generators), words, DEFAULT_CLOSURE_CAP
+        )
+        elements = [holder.elements[i] for i in indices]
+    group = FiniteMatrixGroup(elements, [t[0] for t in tables], tables, elem_words)
+    _CLOSED.add(group)
+    return group
 
 
 def from_elements(elements: Sequence[GMatrix]) -> FiniteMatrixGroup:
@@ -490,4 +519,6 @@ def hat_extend(group: FiniteMatrixGroup) -> FiniteMatrixGroup:
         gen_words = [group.words[i] for i in group.generator_indices] + ["-I"]
     pairs, tables, words = _closure((1, 0), step, minus + 1, gen_words, 2 * group.order)
     elements = [group.elements[i] if sign > 0 else -group.elements[i] for sign, i in pairs]
-    return FiniteMatrixGroup(elements, [t[0] for t in tables], tables, words)
+    extended = FiniteMatrixGroup(elements, [t[0] for t in tables], tables, words)
+    _CLOSED.add(extended)
+    return extended

@@ -47,12 +47,18 @@ with `functools.lru_cache`.  Every catalog group is a subgroup of the
 order-336 group, so class representatives and generators recur across
 groups.  Exceptions are never cached (a failing check raises again), and
 the memos grow with the number of distinct elements a process meets.
+A group whose generators pass the symmetry check is recorded for its
+polynomial in a `weakref.WeakSet`, held only while its callers keep it; a
+later generator that is an element of such a group preserves the same
+polynomial and is not substituted.  Determinants are still checked first,
+and a failing group is never recorded.
 Per-class actions (`_DegreeAction`) are not memoized: their monomial
 images are the largest per-element data.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Optional, Sequence
@@ -273,12 +279,13 @@ def _class_poly(algebra: JacobianAlgebra, vector) -> Poly:
 def _class_invariants(
     group: FiniteMatrixGroup,
     sector: Sector,
-    centralizer: Sequence[int],
+    zgens: Sequence[int],
     dims: tuple[int, ...],
 ) -> list[tuple[CycNum, ...]]:
     """The invariant basis of a class's sector, whose invariant dimension
-    per degree is `dims`, as coordinates over the sector algebra's basis;
-    a class with no invariants builds no algebra.
+    per degree is `dims`, as coordinates over the sector algebra's basis,
+    where `zgens` are the indices of generators of the centralizer; a
+    class with no invariants builds no algebra.
 
     Each degree block's basis is empty, the whole block, a span of
     products of invariants (identity sector) or a kernel of the block's
@@ -302,7 +309,7 @@ def _class_invariants(
                 inverse = group.inverse_index()
                 actions = actions or [
                     _DegreeAction(group.elements[i], group.elements[inverse[i]], sector)
-                    for i in group.subgroup_generator_indices(centralizer)
+                    for i in zgens
                 ]
                 found, vecs = invariant_subspace([a.block(b) for a in actions])
                 if found != dim:
@@ -340,38 +347,57 @@ def _preserves(f: Poly, g: GMatrix) -> bool:
     return True
 
 
+# Per polynomial, the live groups whose generators passed `_check_group`,
+# held weakly: every element of such a group preserves f.
+_VALIDATED: dict[Poly, "weakref.WeakSet[FiniteMatrixGroup]"] = {}
+
+
 def check_generators(f: Poly, generators: Sequence[GMatrix], names: Sequence[str]):
     """The admissibility rule, which suffices for the group generated: every
     determinant is +/-1 (else InadmissibleGroupError naming the generator by
     `names`), then every generator preserves f (NotASymmetryError, from the
-    memoized `_preserves`).  det is a homomorphism and {1, -1} a subgroup."""
+    memoized `_preserves`).  det is a homomorphism and {1, -1} a subgroup.
+    A generator that is an element of a live group validated for f is
+    known to preserve f and is not substituted."""
     for g, name in zip(generators, names):
         d, one = g.det, CycNum.one(g.conductor)
         if d != one and d != -one:
             raise InadmissibleGroupError(f"generator {name} has determinant {d}, not +/-1")
+    validated = _VALIDATED.get(f, ())
     for g in generators:
-        _preserves(f, g)
+        if not any(g in group.index for group in validated):
+            _preserves(f, g)
 
 
 def _check_group(f: Poly, group: FiniteMatrixGroup):
-    """`check_generators` on the group's generators, named by word, else `#index`."""
+    """`check_generators` on the group's generators, named by word, else
+    `#index`; a group that passes is recorded as validated for f."""
     names = [group.word_for(i) or f"#{i}" for i in group.generator_indices]
     check_generators(f, group.generators, names)
+    _VALIDATED.setdefault(f, weakref.WeakSet()).add(group)
+
+
+def _class_data(f: Poly, group: FiniteMatrixGroup, weights: WeightSystem) -> list[tuple]:
+    """Per conjugacy class, in `conjugacy()` order: (rep, members,
+    centralizer, sector, centralizer generators, invariant dimension per
+    weighted degree), each looked up once."""
+    _check_group(f, group)
+    conj = group.conjugacy()
+    data = []
+    for rep, members in conj.classes:
+        centralizer = conj.centralizers[rep]
+        sector = _build_sector(f, group.elements[rep], weights)
+        zgens = group.subgroup_generator_indices(centralizer)
+        dims = invariant_degree_dims(group, sector, centralizer, zgens)
+        data.append((rep, members, centralizer, sector, zgens, dims))
+    return data
 
 
 def compute_dims(f: Poly, group: FiniteMatrixGroup, weights: WeightSystem) -> list[tuple]:
     """Invariant dimension per weighted degree of each conjugacy class, in
     `conjugacy()` order, so the identity class comes first: characters
     over the fixed locus and its weights, with no Jacobian algebra."""
-    _check_group(f, group)
-    conj = group.conjugacy()
-    dims = []
-    for rep, _ in conj.classes:
-        centralizer = conj.centralizers[rep]
-        sector = _build_sector(f, group.elements[rep], weights)
-        zgens = group.subgroup_generator_indices(centralizer)
-        dims.append(invariant_degree_dims(group, sector, centralizer, zgens))
-    return dims
+    return [dims for *_, dims in _class_data(f, group, weights)]
 
 
 def compute_hh(f: Poly, group: FiniteMatrixGroup, weights: WeightSystem) -> HHReport:
@@ -379,12 +405,10 @@ def compute_hh(f: Poly, group: FiniteMatrixGroup, weights: WeightSystem) -> HHRe
 
     One report per conjugacy class: the Z(g)-invariants of Jac(f^g) xi_g.
     """
-    dims = compute_dims(f, group, weights)
-    conj = group.conjugacy()
+    classes = _class_data(f, group, weights)
     reports = []
-    for (rep, members), class_dims in zip(conj.classes, dims):
-        sector, centralizer = _build_sector(f, group.elements[rep], weights), conj.centralizers[rep]
-        vectors = _class_invariants(group, sector, centralizer, class_dims)
+    for rep, members, centralizer, sector, zgens, class_dims in classes:
+        vectors = _class_invariants(group, sector, zgens, class_dims)
         reports.append(
             SectorReport(
                 rep_index=rep,
@@ -410,8 +434,8 @@ def compute_hh(f: Poly, group: FiniteMatrixGroup, weights: WeightSystem) -> HHRe
     return HHReport(
         group=group_info,
         sectors=tuple(reports),
-        identity_dimension_vector=dims[0],
-        total_dim=sum(map(sum, dims)),
+        identity_dimension_vector=classes[0][-1],
+        total_dim=sum(sum(class_dims) for *_, class_dims in classes),
     )
 
 
@@ -445,7 +469,7 @@ def identity_sector_products(
     _check_group(f, group)
     sector, everything = _build_sector(f, group.elements[0], weights), range(group.order)
     dims = invariant_degree_dims(group, sector, everything, group.generator_indices)
-    vectors = _class_invariants(group, sector, everything, dims)
+    vectors = _class_invariants(group, sector, group.generator_indices, dims)
     algebra = sector.algebra
     basis = tuple(_class_poly(algebra, v) for v in vectors)
     matrix = [list(row) for row in zip(*vectors)]

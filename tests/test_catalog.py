@@ -23,6 +23,12 @@ def test_klein_quartic_data():
     assert jacobian_algebra(f, w).milnor == 27
 
 
+def test_catalog_group_is_cached_once_per_entry():
+    """However the arguments are spelled, one catalog group is one object."""
+    assert catalog_group("e") is catalog_group("e", hat=False) is catalog_group("e", False)
+    assert catalog_group("e", True) is catalog_group("e", hat=True)
+
+
 def test_catalog_orders():
     stated = {"slf": 168, "a": 7, "b": 3, "c": 4, "d": 2, "e": 4,
               "f": 6, "g": 8, "h": 21, "i": 24, "j": 12}

@@ -1,6 +1,8 @@
+import gc
 import json
 import random
 import warnings
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -331,11 +333,21 @@ def test_from_elements_rejects_unclosed_lists():
         from_elements([GMatrix.identity(3, 28), S, S * S])
 
 
+def _multiplied_closure(generators, words=None):
+    """`generate_closure` with no live closed group to walk, so that every
+    element comes from matrix products."""
+    saved, matgroup._CLOSED = matgroup._CLOSED, weakref.WeakSet()
+    try:
+        return generate_closure(generators, words=words)
+    finally:
+        matgroup._CLOSED = saved
+
+
 @pytest.mark.parametrize("key", CATALOG_KEYS)
 def test_hat_extend_matches_closure_with_minus_identity(key):
     group = catalog_group(key)
     hat = hat_extend(group)
-    closed = generate_closure(
+    closed = _multiplied_closure(
         list(group.generators) + [generator_matrix("-I")],
         words=[group.words[i] for i in group.generator_indices] + ["-I"],
     )
@@ -411,8 +423,52 @@ def test_slf_closure_does_not_depend_on_the_entry_tables():
     for clear in (True, False):
         if clear:
             _clear_entry_tables()
-        closures.append(generate_closure([word_matrix(w) for w in words], words=words))
+        closures.append(_multiplied_closure([word_matrix(w) for w in words], words=words))
     cold, warm = closures
     assert cold.elements == warm.elements
     assert cold.words == warm.words
     assert cold.generator_tables == warm.generator_tables
+
+
+@pytest.mark.parametrize("hat", [False, True], ids=["", "hat"])
+@pytest.mark.parametrize("key", CATALOG_KEYS)
+def test_closure_by_membership_matches_the_products(key, hat, monkeypatch):
+    """Generators that all lie in a live closed group (`slf^` at least)
+    are closed by a walk on such a group's right tables: no matrix product,
+    that group's own objects, and the elements in order, words, generator
+    indices and tables of the closure by matrix products."""
+    catalog_group("slf", hat=True)
+    words = list(catalog_entry(key).generator_words) + (["-I"] if hat else [])
+    gens = [word_matrix(w) for w in words]
+    multiplied = _multiplied_closure(gens, words=words)
+    products, honest = [], GMatrix.__mul__
+
+    def counted(a, b):
+        products.append(1)
+        return honest(a, b)
+
+    monkeypatch.setattr(GMatrix, "__mul__", counted)
+    walked = generate_closure(gens, words=words)
+    assert products == []
+    holders = [h for h in matgroup._CLOSED if h is not walked and all(g in h.index for g in gens)]
+    assert any(all(m is h.elements[h.index[m]] for m in walked.elements) for h in holders)
+    assert walked.elements == multiplied.elements
+    assert walked.words == multiplied.words
+    assert walked.generator_indices == multiplied.generator_indices
+    assert walked.generator_tables == multiplied.generator_tables
+
+
+def test_closure_registry_holds_groups_weakly():
+    """A closure is walked only while its callers keep it: the registry
+    keeps nothing alive, and a group whose generators span no single live
+    group is multiplied."""
+    one = CycNum.one(1)
+    flip = GMatrix.diagonal([one, -one, -one])
+    group = generate_closure([flip])
+    assert group in matgroup._CLOSED
+    dropped = weakref.ref(group)
+    del group
+    gc.collect()
+    assert dropped() is None
+    a, b = generate_closure([flip]), generate_closure([GMatrix.diagonal([-one, one, -one])])
+    assert len(generate_closure([a.elements[1], b.elements[1]])) == 4

@@ -369,6 +369,74 @@ def test_non_symmetry_group_rejected(klein):
         compute_hh(f, group, w)
 
 
+def _fermat28():
+    """x^4 + y^4 + z^4 at the catalog's conductor 28, standard weights."""
+    one = CycNum.one(28)
+    return Poly(3, {(4, 0, 0): one, (0, 4, 0): one, (0, 0, 4): one}, 28), WeightSystem((1, 1, 1), 4)
+
+
+def test_validation_by_membership_is_per_polynomial(klein, slf):
+    """Once slf is validated for the Klein quartic, its elements skip the
+    substitution for the Klein quartic only: for the Fermat quartic the
+    cyclic permutation T still passes and the diagonal S still raises, each
+    time, and the failing group is never recorded."""
+    f, w = klein
+    compute_dims(f, slf, w)
+    assert slf in orbifold._VALIDATED[f]
+    fermat, fermat_weights = _fermat28()
+    cyclic = generate_closure([generator_matrix("T")])
+    assert sum(map(sum, compute_dims(fermat, cyclic, fermat_weights))) > 0
+    diagonal = generate_closure([generator_matrix("S")])
+    for _ in range(2):
+        with pytest.raises(NotASymmetryError, match="^a generator does not preserve the polynomial$"):
+            compute_dims(fermat, diagonal, fermat_weights)
+    assert diagonal not in orbifold._VALIDATED[fermat]
+    assert cyclic in orbifold._VALIDATED[fermat]
+
+
+def test_validation_by_membership_substitutes_only_unknown_generators(klein, slf, monkeypatch):
+    """Beside generators known by membership in a validated group, a
+    non-symmetric one is still substituted and refused with the same
+    message, and a determinant outside +/-1 is still refused first."""
+    f, w = klein
+    compute_dims(f, slf, w)
+    zero, one = CycNum.zero(28), CycNum.one(28)
+    swap = GMatrix([[zero, one, zero], [one, zero, zero], [zero, zero, one]])
+    known = [word_matrix("RS^2RS"), word_matrix("TS^4")]
+    honest, substituted = orbifold.substitute_linear, []
+
+    def counted(poly, rows):
+        substituted.append(rows)
+        return honest(poly, rows)
+
+    monkeypatch.setattr(orbifold, "substitute_linear", counted)
+    orbifold._preserves.cache_clear()
+    with pytest.raises(NotASymmetryError, match="^a generator does not preserve the polynomial$"):
+        orbifold.check_generators(f, [known[0], swap, known[1]], ["a", "b", "c"])
+    assert substituted == [swap.rows]
+    with pytest.raises(InadmissibleGroupError, match="^generator c has determinant "):
+        orbifold.check_generators(f, [known[0], swap, generator_matrix("j_f")], ["a", "b", "c"])
+
+
+def test_compute_hh_looks_up_each_class_once(klein, monkeypatch):
+    """compute_hh builds each class's sector and its centralizer's
+    generators once, also for classes whose blocks need a kernel."""
+    f, w = klein
+    group = _dense_conjugate("i", 909)
+    honest, calls = matgroup.FiniteMatrixGroup.subgroup_generator_indices, []
+
+    def counted(self, indices):
+        calls.append(1)
+        return honest(self, indices)
+
+    monkeypatch.setattr(matgroup.FiniteMatrixGroup, "subgroup_generator_indices", counted)
+    before = _build_sector.cache_info()
+    report = compute_hh(f, group, w)
+    after = _build_sector.cache_info()
+    assert len(calls) == len(report.sectors)
+    assert (after.hits + after.misses) - (before.hits + before.misses) == len(report.sectors)
+
+
 def test_identity_sector_products_unit_law(klein):
     f, w = klein
     table = identity_sector_products(f, catalog_group("e", hat=True), w)
@@ -762,14 +830,25 @@ def _memo(name):
 
 @pytest.mark.parametrize("memo", _MEMOS)
 @pytest.mark.parametrize("how", ["e^", "e@301"])
-def test_reports_do_not_depend_on_the_memos(klein, memo, how):
+def test_reports_do_not_depend_on_the_memos(klein, memo, how, monkeypatch):
     """A report computed with the memo cleared, with it warm, and with it
     cleared again is the same report, byte for byte.  The group is built
-    anew each time, so the matrix-entry tables are read as well."""
+    anew each time, so the matrix-entry tables are read as well.  The warm
+    run reads the memo; for the symmetry check, whose generators may also
+    be known by membership in a live validated group, the warm run
+    substitutes nothing."""
     f, w = klein
     words = list(catalog_entry("e").generator_words)
+    honest, substituted = orbifold.substitute_linear, []
+
+    def counted(*args):
+        substituted[-1] += 1
+        return honest(*args)
+
+    monkeypatch.setattr(orbifold, "substitute_linear", counted)
     blobs, hits = [], []
     for clear in (True, False, True):
+        substituted.append(0)
         if clear:
             _memo(memo).cache_clear()
         if how == "e^":
@@ -779,7 +858,10 @@ def test_reports_do_not_depend_on_the_memos(klein, memo, how):
         blobs.append(json.dumps(compute_hh(f, group, w).to_dict(), sort_keys=True))
         hits.append(_memo(memo).cache_info().hits)
     assert blobs[0] == blobs[1] == blobs[2]
-    assert hits[1] > hits[0]
+    if memo == "orbifold._preserves":
+        assert substituted[1] == 0
+    else:
+        assert hits[1] > hits[0]
 
 
 def test_memos_cache_no_exceptions(klein):

@@ -458,6 +458,28 @@ def test_cli_large_matrix_is_refused_before_its_entries(tmp_path, capsys):
     assert elapsed < 0.3
 
 
+def test_cli_ragged_matrix_is_refused_before_its_entries(tmp_path, capsys, monkeypatch):
+    """A 300-row matrix whose last row has 299 entries is refused by that
+    row's length before any of its entries is read."""
+    zero, one = CycNum.zero(1), CycNum.one(1)
+    rows = _matrix_data([[one if i == j else zero for j in range(300)] for i in range(300)])
+    rows[-1].pop()
+    path = tmp_path / "group.json"
+    path.write_text(json.dumps({"matrices": [rows]}))
+    honest, reads = CycNum.from_dict, []
+
+    def counted(data):
+        reads.append(1)
+        return honest(data)
+
+    monkeypatch.setattr(CycNum, "from_dict", counted)
+    assert cli.main(["compute", "--group", f"file:{path}"]) == cli.EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.err == "error: matrices[0][299]: must be a list of 300 entries\n"
+    assert captured.out == ""
+    assert reads == []
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
