@@ -9,12 +9,16 @@ pairs of x^(phi+e) modulo the n-th cyclotomic polynomial over the power
 basis, so reduction touches only the nonzero coefficients of Phi_n's
 multiples (for n = 28, x^14 = -1 makes most rows a single pair).
 
-`dot` is the fused sum of products: every term's convolution accumulates
-into one integer list over the common denominator of the products, which
-is then reduced once and normalized once.  Because values are canonical,
-its result is the one a fold of `mul` and `add` gives, byte for byte.
-`add_many` is the fused sum of values already multiplied: the numerators
-accumulate over the least common denominator and are normalized once.
+A product convolves into one buffer of 2 phi - 1 integers and folds its
+top phi - 1 coefficients onto the power basis in place, in the same
+function.  `dot` is the fused sum of products: every term's convolution
+accumulates into that buffer over the common denominator of the products,
+which is then folded once and normalized once.  Because values are
+canonical, its result is the one a fold of `mul` and `add` gives, byte for
+byte.  `add_many` is the fused sum of values already multiplied: the
+numerators accumulate over the least common denominator and are
+normalized once.  Every result is canonical, so `lgorb.exactnum` makes
+values of them without normalizing again.
 
 `lgorb.exactnum` calls them as `_kernels.mul(...)` and so on, through the
 module, so that wrapping a module attribute sees every call.
@@ -24,21 +28,16 @@ from math import gcd
 
 
 def normalize(nums, den):
-    """Canonicalize a raw value: positive denominator, content 1."""
+    """Canonicalize a raw value: positive denominator, content 1.  A
+    denominator of 1 is canonical already."""
+    if den == 1:
+        return tuple(nums), 1
     if den < 0:
         den = -den
         nums = [-v for v in nums]
-    g = den
-    for v in nums:
-        if v:
-            g = gcd(g, v)
-            if g == 1:
-                break
+    g = gcd(den, *nums)  # den itself when every numerator is zero
     if g > 1:
-        den //= g
-        return tuple(v // g for v in nums), den
-    if not any(nums):
-        return tuple(nums), 1
+        return tuple([v // g for v in nums]), den // g
     return tuple(nums), den
 
 
@@ -62,32 +61,23 @@ def add_many(values):
     return normalize(list(map(sum, zip(*scaled))), den)
 
 
-def _convolve(conv, an, bn, scale=1):
-    """conv[i + j] += scale * an[i] * bn[j] over the nonzero coefficients."""
-    support = [(j, bj * scale) for j, bj in enumerate(bn) if bj]
-    if support:
-        for i, ai in enumerate(an):
-            if ai:
-                for j, bj in support:
-                    conv[i + j] += ai * bj
-
-
-def _reduce(conv, phi, rows):
-    """Fold the coefficients of x^phi, x^(phi+1), ... onto the power basis."""
-    out = conv[:phi]
-    for e in range(phi, len(conv)):
-        ce = conv[e]
-        if ce:
-            for j, rj in rows[e - phi]:
-                out[j] += ce * rj
-    return out
-
-
 def _mul_nums(an, bn, rows):
+    """The numerators of an * bn over the power basis: the convolution over
+    the nonzero coefficients, its top coefficients folded in place."""
     phi = len(an)
     conv = [0] * (2 * phi - 1)
-    _convolve(conv, an, bn)
-    return _reduce(conv, phi, rows)
+    support = [(j, bj) for j, bj in enumerate(bn) if bj]
+    for i, ai in enumerate(an):
+        if ai:
+            for j, bj in support:
+                conv[i + j] += ai * bj
+    for e, row in enumerate(rows, phi):
+        ce = conv[e]
+        if ce:
+            for j, rj in row:
+                conv[j] += ce * rj
+    del conv[phi:]
+    return conv
 
 
 def mul(an, ad, bn, bd, rows):
@@ -109,7 +99,7 @@ def addmul(an, ad, bn, bd, cn, cd, rows):
 def dot(terms, rows):
     """Sum of a*b over a nonempty sequence of (an, ad, bn, bd) terms: one
     convolution buffer over the least common denominator of the products,
-    one reduction and one normalization."""
+    one fold and one normalization."""
     den = 1
     for _, ad, _, bd in terms:
         pd = ad * bd
@@ -118,5 +108,16 @@ def dot(terms, rows):
     phi = len(terms[0][0])
     conv = [0] * (2 * phi - 1)
     for an, ad, bn, bd in terms:
-        _convolve(conv, an, bn, den // (ad * bd))
-    return normalize(_reduce(conv, phi, rows), den)
+        scale = den // (ad * bd)
+        support = [(j, bj * scale) for j, bj in enumerate(bn) if bj]
+        for i, ai in enumerate(an):
+            if ai:
+                for j, bj in support:
+                    conv[i + j] += ai * bj
+    for e, row in enumerate(rows, phi):
+        ce = conv[e]
+        if ce:
+            for j, rj in row:
+                conv[j] += ce * rj
+    del conv[phi:]
+    return normalize(conv, den)

@@ -7,13 +7,35 @@ therefore structural and hashing is sound.  Rational numbers are the
 conductor-1 case; `fractions.Fraction` is the scalar type throughout.
 
 Arithmetic runs in `lgorb._kernels`.  Sums of products (determinant
-cofactors, fixed-locus restrictions, products of algebra classes) go
-through `CycNum.dot`, which reduces and normalizes once per sum instead of
-once per product; the per-conductor reduction rows are kept sparse, so
-multiplying skips the zero coefficients of Phi_n's rows and of the second
-operand.  A sum of values already multiplied, such as a matrix entry whose
-terms come from `lgorb.matgroup`'s table of entry products, goes through
-`CycNum.add_many`, which normalizes once per sum.
+cofactors, fixed-locus restrictions, products of algebra classes and of
+polynomials) go through `CycNum.dot`, which reduces and normalizes once per
+sum instead of once per product; the per-conductor reduction rows are kept
+sparse and read from one memo (`_mul_rows`), so multiplying skips the zero
+coefficients of Phi_n's rows and of the second operand.  A sum of values
+already multiplied, such as a matrix entry whose terms come from the table
+of entry products, goes through `CycNum.add_many`, which normalizes once
+per sum.
+
+Two constructors.  `CycNum(conductor, nums, den)` is for outside input:
+it checks the numerator count, refuses a zero denominator and anything
+but integers, and normalizes.  Every kernel result is canonical already,
+so arithmetic makes its values with `_make`, which sets the four slots and
+nothing else; `+`, `*`, `addmul` and `dot` skip coercion for a value of
+the same conductor.  A caller of `_make` owes it a canonical (nums, den):
+a tuple of phi(n) ints, a positive denominator, content 1, denominator 1
+for zero.
+
+Interning: `_entry` keeps one canonical object per value and
+`_entry_product` one interned product per pair of values, both
+`functools.lru_cache` tables that live for the whole process.
+`lgorb.matgroup` interns every matrix entry and reads each term of a
+matrix product from the product table; `polyring.compose_linear` reads the
+products of substitution entries from it, so substituting a group element
+whose entry pairs a closure or an earlier substitution multiplied makes no
+new field product.  Their memory grows with the distinct values interned
+and the distinct pairs multiplied: about 300 pairs for the 13 catalog
+reports, under 1,000 for 30 dense conjugates of catalog groups.
+Clearing either table costs speed only: values stay canonical.
 
 Inverses work in the value's own subfield.  When p^2 divides n,
 Phi_n(x) = Phi_(n/p)(x^p), so a value of Q(zeta_n) whose nonzero
@@ -81,7 +103,7 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
 class _Field:
     """Per-conductor context: totient and power-basis reduction rows."""
 
-    __slots__ = ("n", "phi", "rows", "_sparse")
+    __slots__ = ("n", "phi", "rows")
 
     def __init__(self, n: int):
         self.n = n
@@ -89,7 +111,6 @@ class _Field:
         cyc = cyclotomic_polynomial(n)
         base = tuple(-c for c in cyc[: self.phi])  # zeta^phi over the basis
         self.rows: list[tuple[int, ...]] = [base]
-        self._sparse: list[tuple[tuple[int, int], ...]] | None = None
 
     def row(self, e: int) -> tuple[int, ...]:
         """Reduction row of zeta^(phi + e) over the power basis."""
@@ -107,13 +128,7 @@ class _Field:
     def mul_rows(self) -> list[tuple[tuple[int, int], ...]]:
         """The reduction rows of zeta^phi .. zeta^(2 phi - 2), each as its
         nonzero (index, value) pairs: the table the kernels take."""
-        sparse = self._sparse
-        if sparse is None:
-            sparse = [
-                tuple((j, v) for j, v in enumerate(self.row(e)) if v) for e in range(self.phi - 1)
-            ]
-            self._sparse = sparse
-        return sparse
+        return _mul_rows(self.n)
 
 
 def _exact_rational(value) -> int | Fraction:
@@ -128,6 +143,14 @@ def _exact_rational(value) -> int | Fraction:
 @lru_cache(maxsize=None)
 def _field(n: int) -> _Field:
     return _Field(n)
+
+
+@lru_cache(maxsize=None)
+def _mul_rows(n: int) -> list[tuple[tuple[int, int], ...]]:
+    """`_Field.mul_rows` of conductor n, built once per conductor and read
+    by arithmetic through this one cached call."""
+    field = _field(n)
+    return [tuple((j, v) for j, v in enumerate(field.row(e)) if v) for e in range(field.phi - 1)]
 
 
 def _subfield(n: int, nums: tuple[int, ...]) -> tuple[int, tuple[int, ...], int]:
@@ -190,20 +213,24 @@ class CycNum:
 
     __slots__ = ("conductor", "nums", "den", "_hash")
 
-    def __init__(self, conductor: int, nums, den: int = 1, _canonical: bool = False):
-        field = _field(conductor)
-        if len(nums) != field.phi:
-            raise ValueError(
-                f"need {field.phi} coefficients at conductor {conductor}, got {len(nums)}"
+    def __init__(self, conductor: int, nums, den: int = 1):
+        """The value sum(nums[i] zeta^i) / den, checked and normalized: the
+        constructor for outside input.  Results of arithmetic are made by
+        `_make` instead."""
+        phi = _field(conductor).phi
+        if len(nums) != phi:
+            raise ValueError(f"need {phi} coefficients at conductor {conductor}, got {len(nums)}")
+        if not isinstance(den, int) or not all(isinstance(v, int) for v in nums):
+            raise TypeError(
+                f"numerators and denominator must be integers, got {nums!r:.60}, {den!r:.20}"
             )
-        if not _canonical:
-            if den == 0:
-                raise ZeroDivisionError("zero denominator")
-            nums, den = _kernels.normalize(list(nums), den)
-        object.__setattr__(self, "conductor", conductor)
-        object.__setattr__(self, "nums", tuple(nums))
-        object.__setattr__(self, "den", den)
-        object.__setattr__(self, "_hash", None)
+        if den == 0:
+            raise ZeroDivisionError("zero denominator")
+        nums, den = _kernels.normalize(list(nums), den)
+        _set_conductor(self, conductor)
+        _set_nums(self, nums)
+        _set_den(self, den)
+        _set_hash(self, None)
 
     def __setattr__(self, name, value):
         raise AttributeError("CycNum is immutable")
@@ -214,9 +241,7 @@ class CycNum:
     def from_rational(cls, value, conductor: int = 1) -> "CycNum":
         """value (an int or a Fraction, see `_exact_rational`) in Q(zeta_n)."""
         q = Fraction(_exact_rational(value))
-        phi = _field(conductor).phi
-        nums = [q.numerator] + [0] * (phi - 1)
-        return cls(conductor, nums, q.denominator)
+        return _make(conductor, (q.numerator,) + (0,) * (_field(conductor).phi - 1), q.denominator)
 
     @classmethod
     def from_coeffs(cls, conductor: int, coeffs) -> "CycNum":
@@ -231,7 +256,7 @@ class CycNum:
 
     @classmethod
     def zero(cls, conductor: int = 1) -> "CycNum":
-        return cls(conductor, [0] * _field(conductor).phi, 1, _canonical=True)
+        return _make(conductor, (0,) * _field(conductor).phi, 1)
 
     @classmethod
     def one(cls, conductor: int = 1) -> "CycNum":
@@ -258,7 +283,7 @@ class CycNum:
         return Fraction(self.nums[0], self.den)
 
     def __bool__(self) -> bool:
-        return not self.is_zero()
+        return any(self.nums)
 
     # -- coercion ----------------------------------------------------------
 
@@ -276,18 +301,17 @@ class CycNum:
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
+        if type(other) is not CycNum or other.conductor != self.conductor:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
         nums, den = _kernels.add(self.nums, self.den, other.nums, other.den)
-        return CycNum(self.conductor, nums, den, _canonical=True)
+        return _make(self.conductor, nums, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CycNum(
-            self.conductor, tuple(-v for v in self.nums), self.den, _canonical=True
-        )
+        return _make(self.conductor, tuple([-v for v in self.nums]), self.den)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -302,23 +326,26 @@ class CycNum:
         return other + (-self)
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        nums, den = _kernels.mul(
-            self.nums, self.den, other.nums, other.den, _field(self.conductor).mul_rows()
-        )
-        return CycNum(self.conductor, nums, den, _canonical=True)
+        n = self.conductor
+        if type(other) is not CycNum or other.conductor != n:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        nums, den = _kernels.mul(self.nums, self.den, other.nums, other.den, _mul_rows(n))
+        return _make(n, nums, den)
 
     __rmul__ = __mul__
 
     def addmul(self, b: "CycNum", c: "CycNum") -> "CycNum":
-        """self + b*c, fused (one normalization)."""
-        nums, den = _kernels.addmul(
-            self.nums, self.den, b.nums, b.den, c.nums, c.den,
-            _field(self.conductor).mul_rows(),
-        )
-        return CycNum(self.conductor, nums, den, _canonical=True)
+        """self + b*c, fused (one normalization); b and c are values of
+        self's conductor (else ConductorMismatchError)."""
+        n = self.conductor
+        if b.conductor != n or c.conductor != n:
+            raise ConductorMismatchError(
+                f"conductor mismatch: {n} vs {b.conductor} and {c.conductor}"
+            )
+        nums, den = _kernels.addmul(self.nums, self.den, b.nums, b.den, c.nums, c.den, _mul_rows(n))
+        return _make(n, nums, den)
 
     @staticmethod
     def dot(left, right) -> "CycNum":
@@ -339,8 +366,8 @@ class CycNum:
                     f"conductor mismatch: {n} vs {a.conductor} and {b.conductor}"
                 )
             terms.append((a.nums, a.den, b.nums, b.den))
-        nums, den = _kernels.dot(terms, _field(n).mul_rows())
-        return CycNum(n, nums, den, _canonical=True)
+        nums, den = _kernels.dot(terms, _mul_rows(n))
+        return _make(n, nums, den)
 
     @staticmethod
     def add_many(values) -> "CycNum":
@@ -357,7 +384,7 @@ class CycNum:
                 raise ConductorMismatchError(f"conductor mismatch: {n} vs {v.conductor}")
             raw.append((v.nums, v.den))
         nums, den = _kernels.add_many(raw)
-        return CycNum(n, nums, den, _canonical=True)
+        return _make(n, nums, den)
 
     def inverse(self) -> "CycNum":
         """Multiplicative inverse: fast paths for rationals and for rational
@@ -384,7 +411,7 @@ class CycNum:
         solution, det = _bareiss_inverse(m, sub)
         nums = [0] * len(self.nums)
         nums[::stride] = [v * self.den for v in solution]
-        return CycNum(self.conductor, nums, det)
+        return _make(self.conductor, *_kernels.normalize(nums, det))
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -505,6 +532,27 @@ class CycNum:
         return cls.from_coeffs(conductor, coeffs)
 
 
+_new = object.__new__
+_set_conductor = CycNum.conductor.__set__
+_set_nums = CycNum.nums.__set__
+_set_den = CycNum.den.__set__
+_set_hash = CycNum._hash.__set__
+
+
+def _make(conductor: int, nums: tuple[int, ...], den: int) -> CycNum:
+    """The value of a canonical (nums, den) at a conductor whose field is
+    built: nums a tuple of phi(conductor) ints, den positive, content 1,
+    den 1 for zero, as every `_kernels` function returns.  Nothing is
+    looked up, checked or normalized; `CycNum(...)` is the checked
+    constructor for anything else."""
+    value = _new(CycNum)
+    _set_conductor(value, conductor)
+    _set_nums(value, nums)
+    _set_den(value, den)
+    _set_hash(value, None)
+    return value
+
+
 def zeta(n: int, k: int = 1) -> CycNum:
     """The root of unity zeta_n^k, canonically reduced; conductor n."""
     field = _field(n)
@@ -512,7 +560,21 @@ def zeta(n: int, k: int = 1) -> CycNum:
     nums = [0] * field.phi
     if e < field.phi:
         nums[e] = 1
-        return CycNum(n, nums, 1, _canonical=True)
-    for j, rj in enumerate(field.row(e - field.phi)):
-        nums[j] = rj
-    return CycNum(n, nums, 1)
+    else:
+        nums = field.row(e - field.phi)
+    return _make(n, tuple(nums), 1)
+
+
+@lru_cache(maxsize=None)
+def _entry(value: CycNum) -> CycNum:
+    """The canonical object of a value: the first equal value the process
+    interned.  Memory grows with the distinct values interned."""
+    return value
+
+
+@lru_cache(maxsize=None)
+def _entry_product(a: CycNum, b: CycNum) -> CycNum:
+    """The interned product of two values, computed by `CycNum.__mul__` the
+    first time the pair is seen and read from this table after that.
+    Memory grows with the distinct pairs multiplied."""
+    return _entry(a * b)

@@ -260,16 +260,16 @@ class JacobianAlgebra:
         Reads the product table: entry (i, j) is the class of
         basis[i] * basis[j] as (index, coeff) pairs, filled on first use.  A
         pair whose degrees add up to more than the top degree is zero
-        without an entry.  Each output coordinate is one fused `CycNum.dot`
-        over the pairs that reach it."""
+        without an entry.  Each output coordinate that some pair reaches is
+        one fused `CycNum.dot` over those pairs; the others are zero."""
         mu, basis, degrees = self.milnor, self.basis, self.degrees
         table = self._table
         if table is None:
             table = self._table = [[None] * mu for _ in range(mu)]
         top = self.top_degree()
         right = [(j, b, degrees[j]) for j, b in enumerate(v) if b]
-        lefts: list[list[CycNum]] = [[] for _ in range(mu)]
-        rights: list[list[CycNum]] = [[] for _ in range(mu)]
+        lefts: dict[int, list[CycNum]] = {}
+        rights: dict[int, list[CycNum]] = {}
         for i, a in enumerate(u):
             if not a:
                 continue
@@ -283,15 +283,21 @@ class JacobianAlgebra:
                 ab = None
                 for k, c in entry:
                     if c.is_one():
-                        lefts[k].append(a)
-                        rights[k].append(b)
-                        continue
-                    if ab is None:
-                        ab = a * b
-                    lefts[k].append(ab)
-                    rights[k].append(c)
+                        left, factor = a, b
+                    else:
+                        if ab is None:
+                            ab = a * b
+                        left, factor = ab, c
+                    reached = lefts.get(k)
+                    if reached is None:
+                        lefts[k], rights[k] = [left], [factor]
+                    else:
+                        reached.append(left)
+                        rights[k].append(factor)
         zero = CycNum.zero(self.conductor)
-        return tuple(CycNum.dot(l, r) if l else zero for l, r in zip(lefts, rights))
+        return tuple(
+            CycNum.dot(lefts[k], rights[k]) if k in lefts else zero for k in range(mu)
+        )
 
     def linear_class(self, coeffs) -> tuple[CycNum, ...]:
         """Coordinates of the class of the linear form sum_c coeffs[c] t_c.

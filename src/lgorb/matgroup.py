@@ -20,50 +20,40 @@ group.  The groups `generate_closure` and `hat_extend` build are held in a
 have dropped.
 
 Matrix entries are interned: `GMatrix` keeps one canonical object per
-entry value (`_entry`), and `GMatrix.__mul__` reads each nonzero term a*b
-from a table of entry products keyed by the canonical pair
-(`_entry_product`), so a field product is computed the first time its
-pair is seen.  The 336 matrices of the largest catalog group use 57
-distinct entries, so closures, conjugations and generator tables repeat a
-few hundred entry products instead of computing thousands.  Both tables
-are `functools.lru_cache` memos that live for the whole process; their
-memory grows with the distinct entry values and the entry pairs
-multiplied.  Clearing either table costs speed only: values stay
-canonical, and an entry interned before the clear (a zero included) is
-multiplied as an ordinary term.
+entry value (`exactnum._entry`), and `GMatrix.__mul__` reads each nonzero
+term a*b from the table of entry products keyed by the canonical pair
+(`exactnum._entry_product`), so a field product is computed the first
+time its pair is seen.  The 336 matrices of the largest catalog group use
+57 distinct entries, so closures, conjugations and generator tables repeat
+a few hundred entry products instead of computing thousands.  Both tables
+live in `lgorb.exactnum` for the whole process, and the symmetry check's
+substitutions (`polyring.compose_linear`) read the same product table, so
+a generator whose entry pairs a closure has multiplied is substituted
+without new field products.  Their memory grows with the distinct entry
+values and the entry pairs multiplied.  Clearing either table costs speed
+only: values stay canonical, and an entry interned before the clear (a
+zero included) is multiplied as an ordinary term.
+
+A power of a matrix starts from its first factor, not from the identity,
+so a first power costs no product: the word `S` costs none and `RS^2RS`
+four (one square, three joins).
 """
 
 from __future__ import annotations
 
 import warnings
 import weakref
-from functools import lru_cache
 from typing import Optional, Sequence
 
 from lgorb import linalg
 from lgorb.errors import ClosureCapExceededError, ShapeError, SingularMatrixError
-from lgorb.exactnum import CycNum
+from lgorb.exactnum import CycNum, _entry, _entry_product
 
 DEFAULT_CLOSURE_CAP = 2048
 
 # Every live group that `generate_closure` or `hat_extend` built, held weakly:
 # a later closure whose generators all lie in one of them walks its tables.
 _CLOSED: "weakref.WeakSet[FiniteMatrixGroup]" = weakref.WeakSet()
-
-
-@lru_cache(maxsize=None)
-def _entry(value: CycNum) -> CycNum:
-    """The canonical object of an entry value: the first equal value the
-    process interned.  Memory grows with the distinct entry values."""
-    return value
-
-
-@lru_cache(maxsize=None)
-def _entry_product(a: CycNum, b: CycNum) -> CycNum:
-    """The interned product of two interned entries, computed by
-    `CycNum.__mul__` the first time the pair is seen.  Memory grows with
-    the entry pairs multiplied."""
-    return _entry(a * b)
 
 
 class GMatrix:
@@ -169,12 +159,17 @@ class GMatrix:
         return GMatrix(linalg.invert(self.rows))
 
     def __pow__(self, k: int) -> "GMatrix":
-        base = self if k >= 0 else self.inverse()
+        """Square and multiply, starting from the first factor, not the
+        identity: a first power is the base itself (no product) and k >= 1
+        costs at most 2 log2(k) products."""
+        if k == 0:
+            return GMatrix.identity(self.n, self.conductor)
+        base = self if k > 0 else self.inverse()
         k = abs(k)
-        result = GMatrix.identity(self.n, self.conductor)
+        result = None
         while k:
             if k & 1:
-                result = result * base
+                result = base if result is None else result * base
             k >>= 1
             if k:
                 base = base * base

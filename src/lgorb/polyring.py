@@ -6,16 +6,25 @@ order is graded reverse lexicographic with x1 > x2 > ... > xN.
 
 Zero-arity polynomials (bare constants) are supported so restrictions to a
 0-dimensional subspace flow through the same code paths.
+
+Products collect, for each output monomial, the term pairs that reach it
+and make its coefficient one fused `CycNum.dot`.  `compose_linear` is the
+only substitution (`substitute_linear`, `restrict_to_subspace` and the
+symmetry check all call it): it expands each term as the product of the
+images of its two half-degree monomials, memoized within the call, with
+degree-2 images summed from the process-wide table of entry products in
+`lgorb.exactnum`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 from typing import Sequence
 
 from lgorb import linalg
 from lgorb.errors import ShapeError
-from lgorb.exactnum import CycNum
+from lgorb.exactnum import CycNum, _entry_product
 
 Monomial = tuple[int, ...]
 
@@ -26,7 +35,7 @@ def grevlex_key(mon: Monomial):
 
 
 def mon_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def mon_divides(a: Monomial, b: Monomial) -> bool:
@@ -187,17 +196,7 @@ class Poly:
         if not isinstance(other, Poly):
             return NotImplemented
         self._check(other)
-        if len(self.terms) > len(other.terms):
-            big, small = self, other
-        else:
-            big, small = other, self
-        terms: dict[Monomial, CycNum] = {}
-        for m1, c1 in small.terms.items():
-            for m2, c2 in big.terms.items():
-                mon = mon_mul(m1, m2)
-                acc = terms.get(mon)
-                terms[mon] = c1 * c2 if acc is None else acc.addmul(c1, c2)
-        return self._wrap({m: c for m, c in terms.items() if c})
+        return self._wrap(_sum_of_products([(self.terms, other.terms)]))
 
     __rmul__ = __mul__
 
@@ -292,40 +291,108 @@ def partial_derivative(p: Poly, i: int) -> Poly:
     return Poly(p.arity, terms, p.conductor)
 
 
+def _sum_of_products(pairs) -> dict[Monomial, CycNum]:
+    """The terms of sum(A * B) over the (A, B) pairs of term dicts: each
+    output coefficient is one fused `CycNum.dot` over the term pairs that
+    reach its monomial, and zero sums are dropped."""
+    lefts: dict[Monomial, list[CycNum]] = {}
+    rights: dict[Monomial, list[CycNum]] = {}
+    for left, right in pairs:
+        for m1, a in left.items():
+            for m2, b in right.items():
+                mon = mon_mul(m1, m2)
+                reached = lefts.get(mon)
+                if reached is None:
+                    lefts[mon], rights[mon] = [a], [b]
+                else:
+                    reached.append(a)
+                    rights[mon].append(b)
+    out = {}
+    for mon, reached in lefts.items():
+        c = CycNum.dot(reached, rights[mon])
+        if c:
+            out[mon] = c
+    return out
+
+
+def _table_product(left: dict, right: dict) -> dict[Monomial, CycNum]:
+    """The terms of A * B with each term product read from the interned
+    table `exactnum._entry_product`: a coefficient is its one product or
+    one `CycNum.add_many`, and zero sums are dropped."""
+    reached: dict[Monomial, list[CycNum]] = {}
+    for m1, a in left.items():
+        for m2, b in right.items():
+            reached.setdefault(mon_mul(m1, m2), []).append(_entry_product(a, b))
+    out = {}
+    for mon, terms in reached.items():
+        c = CycNum.add_many(terms) if len(terms) > 1 else terms[0]
+        if c:
+            out[mon] = c
+    return out
+
+
 def compose_linear(p: Poly, columns: Sequence[Sequence[CycNum]]) -> Poly:
     """p(M*t) where M has the given columns; result arity = len(columns).
 
     Column c lists the coefficients of old variables along new variable t_c,
     i.e. old x_i is substituted by sum_c M[i][c] * t_c.
+
+    Each term c x^a is split into halves x^a = x^b x^e with deg b =
+    floor(deg a / 2) (the first variables of a, counted with multiplicity),
+    and contributes c (x^b)(M t) (x^e)(M t).  The images of monomials are
+    memoized within the call: x_i is row i of M; x_i x_j is summed from
+    products read from the process-wide table `exactnum._entry_product`,
+    which group matrix products fill, so the degree-2 images of a group
+    element cost no field product once the table holds its entry pairs; a
+    monomial of higher degree is the product of the images of its halves.
+    Every output coefficient, and every coefficient of a higher image, is
+    one fused `CycNum.dot`.
     """
     k = len(columns)
     n = p.arity
     if any(len(col) != n for col in columns):
         raise ShapeError("substitution matrix has wrong number of rows")
     conductor = p.conductor
-    lin: list[Poly] = []
+    unit = (0,) * k
+    images: dict[Monomial, dict[Monomial, CycNum]] = {(0,) * n: {unit: CycNum.one(conductor)}}
     for i in range(n):
-        terms = {}
-        for c in range(k):
-            coeff = columns[c][i]
+        row = {}
+        for c, col in enumerate(columns):
+            coeff = col[i]
             if coeff:
-                terms[tuple(1 if j == c else 0 for j in range(k))] = coeff
-        lin.append(Poly(k, terms, conductor))
-    out = Poly.zero(k, conductor)
-    for mon, coeff in p.terms.items():
-        img = None
-        for i, e in enumerate(mon):
-            if e:
-                power = lin[i]
-                for _ in range(e - 1):
-                    power = power * lin[i]
-                img = power if img is None else img * power
+                if not isinstance(coeff, CycNum):  # coerced as a Poly coefficient is
+                    coeff = CycNum.from_rational(coeff, conductor)
+                elif coeff.conductor != conductor:
+                    raise ShapeError("mixed conductors in one polynomial")
+                row[unit[:c] + (1,) + unit[c + 1 :]] = coeff
+        images[tuple(int(j == i) for j in range(n))] = row
+
+    def halves(mon: Monomial) -> tuple[Monomial, Monomial]:
+        variables = [i for i, e in enumerate(mon) for _ in range(e)]
+        low = [0] * n
+        for i in variables[: len(variables) // 2]:
+            low[i] += 1
+        return tuple(low), tuple(e - b for e, b in zip(mon, low))
+
+    def image(mon: Monomial) -> dict[Monomial, CycNum]:
+        img = images.get(mon)
         if img is None:
-            img = Poly.constant(coeff, k, conductor)
-        elif not coeff.is_one():
-            img = img.scale(coeff)
-        out = out + img
-    return out
+            low, high = halves(mon)
+            if sum(mon) == 2:
+                img = _table_product(image(low), image(high))
+            else:
+                img = _sum_of_products([(image(low), image(high))])
+            images[mon] = img
+        return img
+
+    pairs = []
+    for mon, coeff in p.terms.items():
+        low, high = halves(mon)
+        left = image(low)
+        if not coeff.is_one():
+            left = {m: coeff * v for m, v in left.items()} if any(low) else {unit: coeff}
+        pairs.append((left, image(high)))
+    return Poly.zero(k, conductor)._wrap(_sum_of_products(pairs))
 
 
 def substitute_linear(p: Poly, matrix: Sequence[Sequence[CycNum]]) -> Poly:

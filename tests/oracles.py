@@ -6,7 +6,8 @@ Fractions/CycNum, products of roots of unity are expanded by exponent
 arithmetic, and determinants are expanded by hand.  The route oracles are
 the slower, more direct ways the engine used to compute a result (matrix
 products instead of tables, one elimination per right-hand side, full
-substitutions, Euclid over Fractions, a kernel for every degree block,
+substitutions, substitutions by repeated multiplication, Euclid over
+Fractions, a kernel for every degree block,
 a dense convolution and reduction for every field product, row operations
 on every entry, a full-conductor elimination for every field inverse, every
 term of every matrix entry, rho as a quotient of determinants, element
@@ -349,6 +350,38 @@ def substitution_sector_action(h, sector):
     ]
     mu = algebra.milnor
     return tuple(tuple(images[j][i] * scale for j in range(mu)) for i in range(mu))
+
+
+def expanded_substitution(p: Poly, columns) -> Poly:
+    """p(M t) for the matrix M of the given columns, the substitution route
+    `polyring.compose_linear` replaced: each variable's image is a linear
+    form, a power is that form multiplied in again and again, a term is the
+    product of its powers, and every product of two term dicts is a fold of
+    CycNum * and + over all term pairs (no fused dot, no memo, no table)."""
+    k, conductor = len(columns), p.conductor
+    zero = CycNum.zero(conductor)
+
+    def times(a: dict, b: dict) -> dict:
+        out: dict = {}
+        for m1, c1 in a.items():
+            for m2, c2 in b.items():
+                mon = mon_mul(m1, m2)
+                out[mon] = out.get(mon, zero) + c1 * c2
+        return out
+
+    lin = [
+        {tuple(int(j == c) for j in range(k)): col[i] for c, col in enumerate(columns)}
+        for i in range(p.arity)
+    ]
+    total: dict = {}
+    for mon, coeff in p.terms.items():
+        image = {(0,) * k: coeff}
+        for i, e in enumerate(mon):
+            for _ in range(e):
+                image = times(image, lin[i])
+        for m, c in image.items():
+            total[m] = total.get(m, zero) + c
+    return Poly(k, total, conductor)
 
 
 def apply(h, vec) -> tuple[CycNum, ...]:

@@ -410,3 +410,58 @@ def test_arithmetic_calls_through_the_kernel_module(monkeypatch):
     m * m
     assert calls == {"add": 7, "mul": 13, "addmul": 1, "dot": 1, "add_many": 9}
     assert lgorb.kernel_backend == "pure"
+
+
+def _raw(v):
+    return v.nums, v.den
+
+
+def _as_checked(v, factor):
+    """The value the public constructor normalizes from v's numerators and
+    denominator, each multiplied by factor."""
+    return CycNum(v.conductor, [factor * x for x in v.nums], factor * v.den)
+
+
+@pytest.mark.parametrize("conductor", [1, 3, 4, 7, 12, 28])
+def test_fast_path_results_equal_the_checked_constructor(conductor):
+    """Arithmetic results are made without a check or a normalization: each
+    one of *, addmul, dot, add_many, unary minus and inverse equals, and
+    hashes like, the value `CycNum(...)` normalizes from its numerators and
+    denominator (also scaled by -1 and 6), and equals the Fraction route."""
+    rng = random.Random(6100 + conductor)
+    values = [CycNum(conductor, nums, den) for nums, den in _raw_operands(rng, conductor)]
+    one = CycNum.one(conductor)
+    results = [CycNum.zero(conductor), one, zeta(conductor, 5)]
+    results.append(CycNum.from_rational(Fraction(-3, 6), conductor))
+    for _ in range(30):
+        a, b, c = (rng.choice(values) for _ in range(3))
+        fused = [a.addmul(b, c), CycNum.dot([a, b], [c, a]), CycNum.add_many([a, b, c])]
+        expected = [[(a, b)], [(a, one), (b, c)], [(a, c), (b, a)], [(v, one) for v in (a, b, c)]]
+        for got, pairs in zip([a * b, *fused], expected):
+            assert _raw(got) == dense_dot([(*_raw(x), *_raw(y)) for x, y in pairs], conductor)
+        results += [a * b, a * 3, a + b, -a, *fused]
+        if a:
+            results.append(a.inverse())
+            assert a * results[-1] == one
+    for v in results:
+        assert type(v.nums) is tuple and all(type(x) is int for x in v.nums) and type(v.den) is int
+        for factor in (1, -1, 6):
+            again = _as_checked(v, factor)
+            assert again == v and hash(again) == hash(v) and _raw(again) == _raw(v)
+        assert bool(v) == (not v.is_zero())
+
+
+def test_checked_constructor_refuses_bad_input():
+    """The public constructor keeps every check: the numerator count, a
+    zero denominator and non-integers, denominator 1 included."""
+    with pytest.raises(ValueError, match="^need 6 coefficients at conductor 7, got 5$"):
+        CycNum(7, [1] * 5)
+    with pytest.raises(ZeroDivisionError, match="^zero denominator$"):
+        CycNum(7, [1] * 6, 0)
+    for nums, den in (([0.5] + [0] * 5, 1), ([1] * 6, 2.0), ([Fraction(1, 2)] + [0] * 5, 1)):
+        with pytest.raises(TypeError, match="^numerators and denominator must be integers"):
+            CycNum(7, nums, den)
+    with pytest.raises(ConductorMismatchError):
+        zeta(7).addmul(zeta(28), zeta(7))
+    with pytest.raises(ConductorMismatchError):
+        zeta(7) * zeta(28)

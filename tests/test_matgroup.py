@@ -46,6 +46,35 @@ def test_generator_matrices(klein):
         generator_matrix("Q")
 
 
+def test_word_evaluation_makes_no_identity_products(monkeypatch):
+    """A power starts from its base, not from the identity: the word S costs
+    no matrix product and RS^2RS costs 4 (one square, three joins), and
+    every power equals the repeated product of the oracle."""
+    names = {name: generator_matrix(name) for name in ("R", "S", "T", "-I")}
+    calls, honest = [], GMatrix.__mul__
+
+    def counted(a, b):
+        calls.append(1)
+        return honest(a, b)
+
+    expected = {}
+    for word, factors in (("S", "S"), ("RS^2RS", "RSSRS")):
+        rows = names[factors[0]].rows
+        for name in factors[1:]:
+            rows = oracles.dense_matmul(rows, names[name].rows)
+        expected[word] = GMatrix(rows)
+    monkeypatch.setattr(GMatrix, "__mul__", counted)
+    for word, products in (("S", 0), ("RS^2RS", 4)):
+        calls.clear()
+        assert word_matrix(word) == expected[word]
+        assert len(calls) == products
+    s = names["S"]
+    power = GMatrix.identity(3, 28)
+    for k in range(9):
+        assert s**k == power and s ** (k - 7) == power
+        power = GMatrix(oracles.dense_matmul(power.rows, s.rows))
+
+
 def test_closure_orders():
     assert generate_closure([generator_matrix("S")]).order == 7
     assert generate_closure([-GMatrix.identity(3, 28)]).order == 2

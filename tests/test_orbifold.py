@@ -369,6 +369,22 @@ def test_non_symmetry_group_rejected(klein):
         compute_hh(f, group, w)
 
 
+def test_dense_symmetry_check_keeps_its_message(klein):
+    """Dense matrices go through the same substitution: a conjugate of T by
+    R passes, a conjugate of diag(1, 1, -1) by R (det -1, so admissible by
+    determinant) raises with the exact message, each time."""
+    f, _ = klein
+    zero, one = CycNum.zero(28), CycNum.one(28)
+    r = generator_matrix("R")
+    rinv = r.inverse()
+    assert orbifold._preserves(f, r * generator_matrix("T") * rinv)
+    flip = r * GMatrix.diagonal([one, one, -one]) * rinv
+    assert sum(1 for row in flip.rows for e in row if e == zero) < 3
+    for _ in range(2):
+        with pytest.raises(NotASymmetryError, match="^a generator does not preserve the polynomial$"):
+            orbifold._preserves(f, flip)
+
+
 def _fermat28():
     """x^4 + y^4 + z^4 at the catalog's conductor 28, standard weights."""
     one = CycNum.one(28)

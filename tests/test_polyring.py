@@ -3,12 +3,14 @@ from fractions import Fraction
 
 import pytest
 
+from lgorb import _kernels, linalg
 from lgorb.catalog import generator_matrix
 from lgorb.errors import ShapeError
-from lgorb.exactnum import CycNum
+from lgorb.exactnum import CycNum, zeta
 from lgorb.polyring import (
     Poly,
     WeightSystem,
+    compose_linear,
     grevlex_key,
     is_quasihomogeneous,
     partial_derivative,
@@ -16,6 +18,7 @@ from lgorb.polyring import (
     substitute_linear,
 )
 from oracles import (
+    expanded_substitution,
     grevlex_reference,
     hessian,
     hessian_by_cofactors,
@@ -139,6 +142,98 @@ def test_restrict_to_subspace(klein):
     assert empty.arity == 0 and empty.is_zero()
     with pytest.raises(ShapeError):
         restrict_to_subspace(f, [(one, one, one), (one, one, one)])
+
+
+def _random_value(rng, conductor, zero_share=0.0):
+    """A random value of Q(zeta_n): zero with probability zero_share, else
+    a sum of a few roots of unity with small rational coefficients."""
+    if rng.random() < zero_share:
+        return CycNum.zero(conductor)
+    value = CycNum.from_rational(Fraction(rng.randint(-4, 4), rng.randint(1, 3)), conductor)
+    for _ in range(rng.randint(0, 2)):
+        value = value + zeta(conductor, rng.randrange(conductor)) * rng.randint(-3, 3)
+    return value
+
+
+def _random_columns(rng, conductor, length, count):
+    """count columns of the given length, about a third of the entries zero."""
+    return [[_random_value(rng, conductor, 0.35) for _ in range(length)] for _ in range(count)]
+
+
+def _random_dense_poly(rng, arity, conductor, degree):
+    """Terms of every degree 0..degree, constant and linear terms included."""
+    terms = {}
+    for d in range(degree + 1):
+        monomials = monomials_of_degree(arity, d)
+        for mon in rng.sample(monomials, min(2, len(monomials))):
+            terms[mon] = _random_value(rng, conductor)
+    return Poly(arity, terms, conductor)
+
+
+@pytest.mark.parametrize("conductor", [1, 7, 28])
+def test_compose_linear_matches_the_expansion_oracle(conductor):
+    """The halving expansion (memoized monomial images, degree-2 images from
+    the entry-product table, one fused dot per coefficient) equals the
+    repeated-multiplication route on seeded random polynomials of degree
+    0..6, square substitutions and restrictions to 1..3 columns, with zero
+    entries in the matrices."""
+    rng = random.Random(7300 + conductor)
+    for degree in range(7):
+        for arity in (2, 3, 4):
+            p = _random_dense_poly(rng, arity, conductor, degree)
+            square = _random_columns(rng, conductor, arity, arity)
+            assert substitute_linear(p, square) == expanded_substitution(p, list(zip(*square)))
+            for k in (1, 2, 3):
+                columns = _random_columns(rng, conductor, arity, k)
+                got = compose_linear(p, columns)
+                assert got.arity == k and got == expanded_substitution(p, columns)
+                if linalg.rank(columns) == k:
+                    assert restrict_to_subspace(p, columns) == got
+
+
+def test_compose_linear_on_a_weighted_polynomial():
+    """x1^2 + x2^4 + x3^4, quasihomogeneous for weights (2, 1, 1): terms of
+    degrees 2 and 4 in one substitution, to 1..3 columns and by matrices."""
+    rng = random.Random(7400)
+    one = CycNum.one(28)
+    p = Poly(3, {(2, 0, 0): one, (0, 4, 0): one, (0, 0, 4): one}, 28)
+    for k in (1, 2, 3):
+        columns = _random_columns(rng, 28, 3, k)
+        assert compose_linear(p, columns) == expanded_substitution(p, columns)
+    zero = CycNum.zero(28)
+    swap = [[one, zero, zero], [zero, zero, one], [zero, one, zero]]
+    assert substitute_linear(p, swap) == p
+    # entries that are ints are coerced as Poly coefficients are; a float is refused
+    assert substitute_linear(p, [[1, 0, 0], [0, 0, 1], [0, 1, 0]]) == p
+    doubled = substitute_linear(p, [[2, 0, 0], [0, 1, 0], [0, 0, 1]])
+    assert doubled == p + Poly(3, {(2, 0, 0): 3}, 28)
+    with pytest.raises(TypeError, match="^expected an int or a Fraction, got 0.5$"):
+        substitute_linear(p, [[0.5, 0, 0], [0, 1, 0], [0, 0, 1]])
+    with pytest.raises(ShapeError, match="^mixed conductors in one polynomial$"):
+        substitute_linear(p, [[CycNum.one(7), 0, 0], [0, 1, 0], [0, 0, 1]])
+
+
+def test_dense_substitution_kernel_calls(klein, monkeypatch):
+    """A host-independent work count: once the entry-product table holds
+    R's entry pairs, substituting the dense generator R into the Klein
+    quartic reads its 6 degree-2 images from the table (18 two-term sums)
+    and makes each of the 15 quartic coefficients one fused dot: 33 calls
+    into the field kernels (the repeated-multiplication route made 201)."""
+    f, _ = klein
+    g = generator_matrix("R")
+    assert all(e for row in g.rows for e in row)
+    assert substitute_linear(f, g.rows) == f  # warms the table
+    calls = {"add": 0, "mul": 0, "addmul": 0, "dot": 0, "add_many": 0}
+    for name in calls:
+        real = getattr(_kernels, name)
+
+        def counted(*args, _name=name, _real=real):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(_kernels, name, counted)
+    assert substitute_linear(f, g.rows) == f
+    assert sum(calls.values()) <= 33
 
 
 def test_zero_arity_constants():
