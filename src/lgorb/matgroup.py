@@ -10,7 +10,12 @@ element indices.  All group structure (products, inverses, conjugacy
 classes, centralizers, subgroup generators and the -id extension) comes
 from those integer tables, as in the permutation-group representation of
 Holt, Eick and O'Brien, Handbook of Computational Group Theory (2005),
-ch. 4: no matrix is multiplied or inverted after closure.
+ch. 4: no matrix is multiplied or inverted after closure.  The walk also
+hands over its spanning tree, each element with the parent and generator
+that discovered it (a Schreier tree, same chapter).  The tree fills the
+right tables and the element words: a group with generator words spells
+each element as its parent's word followed by its generator's word, on
+first read, and a closure builds no string.
 
 A closure whose generators are all elements of one live group that an
 earlier closure built walks that group's right tables instead, and
@@ -43,6 +48,7 @@ from __future__ import annotations
 
 import warnings
 import weakref
+from functools import cached_property
 from typing import Optional, Sequence
 
 from lgorb import linalg
@@ -227,16 +233,19 @@ class FiniteMatrixGroup:
 
     ``generator_tables[k]`` is the right-multiplication permutation of
     generator k, as recorded during closure: entry i is the index of
-    ``elements[i] * elements[generator_indices[k]]``.  The generators must
-    generate the whole element list; construction raises otherwise.
+    ``elements[i] * generator k``, so ``generator_tables[k][0]`` is the
+    generator's own index.  ``tree`` is the spanning tree that the walk
+    building the group found, as (element, parent, generator) triples in
+    discovery order: element = parent * generator.  It must reach every
+    element; construction raises otherwise.
     """
 
     def __init__(
         self,
         elements: Sequence[GMatrix],
-        generator_indices: Sequence[int],
         generator_tables: Sequence[Sequence[int]],
-        words: Optional[Sequence[str]] = None,
+        tree: Sequence[tuple[int, int, int]],
+        generator_words: Optional[Sequence[str]] = None,
     ):
         self.elements = tuple(elements)
         if not self.elements or not self.elements[0].is_identity():
@@ -245,36 +254,30 @@ class FiniteMatrixGroup:
         if len(self.index) != len(self.elements):
             raise ValueError("duplicate elements")
         self.order = len(self.elements)
-        self.generator_indices = tuple(generator_indices)
         self.generator_tables = tuple(tuple(t) for t in generator_tables)
-        if len(self.generator_tables) != len(self.generator_indices):
-            raise ValueError("need one table per generator")
-        self.words = tuple(words) if words is not None else None
+        self.generator_indices = tuple(t[0] for t in self.generator_tables)
+        self.generator_words = tuple(generator_words) if generator_words is not None else None
+        self._tree = tuple(tree)
+        if sorted(child for child, _, _ in self._tree) != list(range(1, self.order)):
+            raise ValueError("the generators do not generate the element list")
         self.n = self.elements[0].n
         self.conductor = self.elements[0].conductor
-        self._tree = self._spanning_tree()
         self._right: Optional[list[tuple[int, ...]]] = None
         self._inverse_index: Optional[tuple[int, ...]] = None
         self._conjugacy: Optional[ConjugacyData] = None
 
-    def _spanning_tree(self) -> tuple[tuple[int, int, int], ...]:
-        """Breadth-first tree over the generator tables, as (element,
-        parent, generator) in discovery order: element = parent * generator.
-        Raises unless the generators reach every element."""
-        seen = [False] * self.order
-        seen[0] = True
-        tree = []
-        reached = [0]
-        for parent in reached:  # reached doubles as the FIFO queue
-            for k, table in enumerate(self.generator_tables):
-                child = table[parent]
-                if not seen[child]:
-                    seen[child] = True
-                    tree.append((child, parent, k))
-                    reached.append(child)
-        if len(reached) != self.order:
-            raise ValueError("the generators do not generate the element list")
-        return tuple(tree)
+    @cached_property
+    def words(self) -> Optional[tuple[str, ...]]:
+        """A word per element, read off the tree: the identity's is "id",
+        any other element's is its parent's word (empty for the identity)
+        followed by its generator's word.  None without generator words."""
+        if self.generator_words is None:
+            return None
+        words = [""] * self.order
+        for child, parent, k in self._tree:
+            words[child] = words[parent] + self.generator_words[k]
+        words[0] = "id"
+        return tuple(words)
 
     def _right_tables(self) -> list[tuple[int, ...]]:
         """Right-multiplication permutation of every element (the Cayley
@@ -318,7 +321,7 @@ class FiniteMatrixGroup:
     def subgroup_generator_indices(self, indices: Sequence[int]) -> list[int]:
         """Greedy small generating set (by index order) for a subgroup given
         as an element index set."""
-        return _greedy_generators(indices, self._right_tables().__getitem__)[0]
+        return [t[0] for t in _greedy_generators(indices, self._right_tables().__getitem__)[0]]
 
     # -- conjugacy ---------------------------------------------------------
 
@@ -364,42 +367,42 @@ class FiniteMatrixGroup:
         return tuple(j for j in range(self.order) if times_i[j] == right[j][i])
 
 
-def _greedy_generators(indices: Sequence[int], right_table) -> tuple[list[int], list]:
+def _greedy_generators(indices: Sequence[int], right_table) -> tuple[list, list]:
     """Greedy small generating set, by index order, of the subgroup with
     the given element indices: each generator is the first index outside
     the subgroup generated by the earlier ones.  ``right_table(i)`` is the
-    right-multiplication permutation of element i; returns the generators
-    and their tables."""
+    right-multiplication permutation of element i; returns the generators'
+    tables and the spanning tree walked, as in `_closure`."""
     seen = {0}
     reached = [0]
-    gens: list[int] = []
     tables: list = []
+    tree: list[tuple[int, int, int]] = []
     for i in sorted(indices):
         if i in seen:
             continue
-        gens.append(i)
         tables.append(right_table(i))
         for j in reached:  # reached grows while it is walked
-            for table in tables:
+            for t, table in enumerate(tables):
                 k = table[j]
                 if k not in seen:
                     seen.add(k)
                     reached.append(k)
-    return gens, tables
+                    tree.append((k, j, t))
+    return tables, tree
 
 
-def _closure(identity, step, count: int, words: Optional[Sequence[str]], cap: int):
+def _closure(identity, step, count: int, cap: int):
     """Breadth-first closure of ``identity`` under ``step(x, k)``, the
     product of x with generator k (k < count).
 
     Returns the elements in discovery order, each generator's
-    right-multiplication table and, when generator words are given, a word
-    per element.
+    right-multiplication table and the spanning tree walked, as (element,
+    parent, generator) index triples in discovery order.
     """
     elements = [identity]
     index = {identity: 0}
     tables: list[list[int]] = [[] for _ in range(count)]
-    elem_words = ["id"] if words is not None else None
+    tree: list[tuple[int, int, int]] = []
     for current, x in enumerate(elements):  # elements doubles as the FIFO queue
         for k in range(count):
             p = step(x, k)
@@ -411,11 +414,9 @@ def _closure(identity, step, count: int, words: Optional[Sequence[str]], cap: in
                     )
                 j = index[p] = len(elements)
                 elements.append(p)
-                if elem_words is not None:
-                    prefix = "" if elem_words[current] == "id" else elem_words[current]
-                    elem_words.append(prefix + words[k])
+                tree.append((j, current, k))
             tables[k].append(j)
-    return elements, tables, elem_words
+    return elements, tables, tree
 
 
 def generate_closure(
@@ -424,7 +425,7 @@ def generate_closure(
     """Breadth-first closure of the generators under multiplication.
 
     Element 0 is the identity; the rest appear in generation order.  When
-    generator words are supplied, a word is tracked for every element.
+    generator words are supplied, the group spells every element by them.
     More than DEFAULT_CLOSURE_CAP elements raise ClosureCapExceededError.
 
     When every generator is an element of one live group that an earlier
@@ -445,21 +446,20 @@ def generate_closure(
         raise ValueError("need one word per generator")
     holder = next((h for h in _CLOSED if all(g in h.index for g in generators)), None)
     if holder is None:
-        elements, tables, elem_words = _closure(
+        elements, tables, tree = _closure(
             GMatrix.identity(n, conductor),
             lambda m, k: m * generators[k],
             len(generators),
-            words,
             DEFAULT_CLOSURE_CAP,
         )
     else:
         right = holder._right_tables()
         steps = [right[holder.index[g]] for g in generators]
-        indices, tables, elem_words = _closure(
-            0, lambda i, k: steps[k][i], len(generators), words, DEFAULT_CLOSURE_CAP
+        indices, tables, tree = _closure(
+            0, lambda i, k: steps[k][i], len(generators), DEFAULT_CLOSURE_CAP
         )
         elements = [holder.elements[i] for i in indices]
-    group = FiniteMatrixGroup(elements, [t[0] for t in tables], tables, elem_words)
+    group = FiniteMatrixGroup(elements, tables, tree, words)
     _CLOSED.add(group)
     return group
 
@@ -485,8 +485,7 @@ def from_elements(elements: Sequence[GMatrix]) -> FiniteMatrixGroup:
         except KeyError:
             raise ValueError("element list is not closed under multiplication") from None
 
-    gens, tables = _greedy_generators(range(len(elems)), right_table)
-    return FiniteMatrixGroup(elems, gens, tables)
+    return FiniteMatrixGroup(elems, *_greedy_generators(range(len(elems)), right_table))
 
 
 def hat_extend(group: FiniteMatrixGroup) -> FiniteMatrixGroup:
@@ -496,7 +495,9 @@ def hat_extend(group: FiniteMatrixGroup) -> FiniteMatrixGroup:
     The closure walks (sign, index) pairs through the group's generator
     tables, with -id as the last generator, so it multiplies no matrices
     and yields the same elements, words and generator indices as closing
-    the generators plus -id.
+    the generators plus -id.  The words come from the group's generator
+    words plus "-I": a generator that is the identity or repeats an earlier
+    one discovers no element, so its word is never read.
     """
     minus_id = -GMatrix.identity(group.n, group.conductor)
     if minus_id in group.index:
@@ -509,11 +510,9 @@ def hat_extend(group: FiniteMatrixGroup) -> FiniteMatrixGroup:
         sign, i = pair
         return (-sign, i) if k == minus else (sign, base_tables[k][i])
 
-    gen_words = None
-    if group.words is not None:
-        gen_words = [group.words[i] for i in group.generator_indices] + ["-I"]
-    pairs, tables, words = _closure((1, 0), step, minus + 1, gen_words, 2 * group.order)
+    words = group.generator_words
+    pairs, tables, tree = _closure((1, 0), step, minus + 1, 2 * group.order)
     elements = [group.elements[i] if sign > 0 else -group.elements[i] for sign, i in pairs]
-    extended = FiniteMatrixGroup(elements, [t[0] for t in tables], tables, words)
+    extended = FiniteMatrixGroup(elements, tables, tree, None if words is None else words + ("-I",))
     _CLOSED.add(extended)
     return extended

@@ -12,8 +12,10 @@ a dense convolution and reduction for every field product, row operations
 on every entry, a full-conductor elimination for every field inverse, every
 term of every matrix entry, rho as a quotient of determinants, element
 orders by repeated products, Groebner tail reduction looped to a
-fixpoint);
-the tests check the fast routes against them entry for entry.  One helper,
+fixpoint, a word concatenated for every element of a closure);
+the tests check the fast routes against them entry for entry.  The totals
+oracle `euler_total` counts invariants from ranks and determinants of
+commuting pairs, with no character or algebra.  One helper,
 `complex_approx`, evaluates a field element in floating point; the
 package itself has none.  The last helpers serve tests only: the surface
 cohomology bound, the residue pairing, a search for a conjugator between
@@ -254,6 +256,25 @@ def matrix_greedy_generators(elements) -> list[int]:
                     have.add(p)
                     queue.append(p)
     return gens
+
+
+def closure_words(generators, words) -> list[str]:
+    """A word per element of the breadth-first closure of the generators,
+    in discovery order, concatenated as each element is found by a matrix
+    product: "id" for the identity, and a new element's word is the word
+    of the element it was found from ("" for "id") followed by the
+    generator's word.  The string-per-element route that closures took
+    before words were read off their spanning tree."""
+    identity = GMatrix.identity(generators[0].n, generators[0].conductor)
+    elements, seen, out = [identity], {identity}, ["id"]
+    for current, x in enumerate(elements):
+        for g, word in zip(generators, words):
+            p = x * g
+            if p not in seen:
+                seen.add(p)
+                elements.append(p)
+                out.append(("" if out[current] == "id" else out[current]) + word)
+    return out
 
 
 def dense_rref(matrix):
@@ -640,6 +661,69 @@ def kernel_route(f, group, weights) -> dict:
                 basis.append(poly_from_vector(algebra, full))
         out[rep] = (tuple(dims), tuple(basis))
     return out
+
+
+def euler_total(f, group, weights) -> Fraction:
+    """The total invariant dimension from ranks alone (Ebeling and
+    Gusein-Zade, "Orbifold Euler characteristics for dual invertible
+    polynomials", 2012): the Koszul trace of h on the g-th sector at s = 1
+    is det(h) (-1)^(k_g - k_gh) prod (d - w)/w over the directions of
+    Fix<g,h>, so
+
+        total = sum_[g] 1/|Z(g)| sum_{h in Z(g)} det(h) (-1)^(k_g - k_gh) prod (d - w)/w,
+
+    with k_g = dim Fix(g) and k_gh = dim Fix<g,h> = k_g - rank(h|Fix(g) - I),
+    counted weight by weight: with B a basis of the weight-w part of Fix(g)
+    (a dense kernel), that rank is the rank of (h - I) B.  The trace is a
+    class function of Z(g), so h runs over one representative per class,
+    weighted by the class size.  No characteristic polynomial, series or
+    algebra is involved; f enters only through its weights, which the
+    group must preserve."""
+    if len(weights.weights) != f.arity:
+        raise ValueError("need one weight per variable")
+    conductor, d = group.conductor, weights.total
+    zero, one = CycNum.zero(conductor), CycNum.one(conductor)
+    by_weight: dict[int, list[int]] = {}
+    for i, w in enumerate(weights.weights):
+        by_weight.setdefault(w, []).append(i)
+
+    def minus_id(m, cols):
+        """The columns cols of m - I."""
+        return [[row[c] - 1 if i == c else row[c] for c in cols] for i, row in enumerate(m.rows)]
+
+    def kernel(rows):
+        """A basis of the right kernel, one vector per free column j."""
+        reduced, pivots = dense_rref(rows)
+        width = range(len(rows[0]))
+        pivot_row = {c: reduced[r] for r, c in enumerate(pivots)}
+        return [
+            [-pivot_row[c][j] if c in pivot_row else one if c == j else zero for c in width]
+            for j in width
+            if j not in pivot_row
+        ]
+
+    total = CycNum.zero(conductor)
+    conj = group.conjugacy()
+    for rep, _ in conj.classes:
+        g, centralizer = group.elements[rep], conj.centralizers[rep]
+        fix = {w: kernel(minus_id(g, cols)) for w, cols in by_weight.items()}
+        fix = {w: basis for w, basis in fix.items() if basis}
+        k_g = sum(map(len, fix.values()))
+        zgens = group.subgroup_generator_indices(centralizer)
+        for h_index, members in group.class_orbits(centralizer, zgens):
+            h = group.elements[h_index]
+            weight = Fraction(len(members), len(centralizer))
+            k_gh = 0
+            for w, basis in fix.items():
+                moved = [[CycNum.dot(row, v) for v in basis] for row in minus_id(h, by_weight[w])]
+                dim = len(basis) - len(dense_rref(moved)[1])
+                weight *= Fraction(d - w, w) ** dim
+                k_gh += dim
+            weight *= (-1) ** (k_g - k_gh)
+            total += h.det * CycNum.from_rational(weight, conductor)
+    if not total.is_rational():
+        raise ValueError(f"the Euler sum {total} is not rational")
+    return total.as_rational()
 
 
 def fixpoint_buchberger(generators) -> GroebnerBasis:

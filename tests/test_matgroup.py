@@ -14,6 +14,7 @@ from lgorb.errors import ClosureCapExceededError, SingularMatrixError
 from lgorb.exactnum import CycNum, zeta
 from lgorb.matgroup import (
     DEFAULT_CLOSURE_CAP,
+    FiniteMatrixGroup,
     GMatrix,
     fixed_space,
     from_elements,
@@ -384,6 +385,68 @@ def test_hat_extend_matches_closure_with_minus_identity(key):
     assert hat.words == closed.words
     assert hat.generator_indices == closed.generator_indices
     assert hat.generator_tables == closed.generator_tables
+
+
+@pytest.mark.parametrize("hat", [False, True], ids=["", "hat"])
+@pytest.mark.parametrize("key", CATALOG_KEYS)
+def test_catalog_words_match_the_per_element_concatenation(key, hat):
+    """Each catalog group's words, read off its spanning tree, equal the
+    words that a closure concatenating a string per element finds."""
+    group = catalog_group(key, hat)
+    assert group.words == tuple(oracles.closure_words(group.generators, group.generator_words))
+
+
+_DEGENERATE_LISTS = {
+    "repeated": ["T", "T^4"],  # one matrix under two different words
+    "identity": ["R^2", "T", "S"],
+    "product": ["R", "S", "RS^2"],
+}
+
+
+@pytest.mark.parametrize("walk", [False, True], ids=["multiplied", "membership"])
+@pytest.mark.parametrize("name", list(_DEGENERATE_LISTS))
+def test_degenerate_generator_lists_keep_their_words(name, walk):
+    """Words of closures and their -id extensions equal the per-element
+    concatenation for a repeated generator, the identity among the
+    generators and a generator that is a product of earlier ones: a
+    generator that discovers no element contributes no word.  The extension
+    spells its elements by the group's generator words, and the same words
+    come from the words at the generator indices, which the extension used
+    before.
+
+    The tree keys the identity by index 0, where the concatenation keyed it
+    by its word "id"; the two differ only for another element spelled
+    "id", and no catalog or command-line word can be "id": the word grammar
+    has the bases R, S, T and -I only.  So no output moves."""
+    words = _DEGENERATE_LISTS[name]
+    gens = [word_matrix(w) for w in words]
+    catalog_group("slf", hat=True)  # a live holder of every generator
+    group = generate_closure(gens, words=words) if walk else _multiplied_closure(gens, words)
+    assert group.words == tuple(oracles.closure_words(gens, words))
+    hat = hat_extend(group)
+    minus = [generator_matrix("-I")]
+    assert hat.words == tuple(oracles.closure_words(gens + minus, words + ["-I"]))
+    at_indices = [group.word_for(i) for i in group.generator_indices]
+    assert hat.words == tuple(oracles.closure_words(gens + minus, at_indices + ["-I"]))
+
+
+def test_groups_without_generator_words_have_no_words():
+    group = from_elements(catalog_group("c").elements)
+    hat = hat_extend(group)
+    assert group.words is None and hat.words is None
+    assert group.word_for(1) is None and hat.word_for(1) is None
+
+
+def test_a_tree_that_misses_an_element_is_refused(slf):
+    """The constructor takes the tree its closure walked and refuses one
+    that does not reach every element, whether it is cut short or names an
+    element twice."""
+    tree = list(slf._tree)
+    rebuilt = FiniteMatrixGroup(slf.elements, slf.generator_tables, tree, slf.generator_words)
+    assert rebuilt.words == slf.words
+    for broken in (tree[:-1], tree[:-1] + [tree[0]]):
+        with pytest.raises(ValueError, match="^the generators do not generate the element list$"):
+            FiniteMatrixGroup(slf.elements, slf.generator_tables, broken, slf.generator_words)
 
 
 def _shape_family(rng, n, conductor):

@@ -30,6 +30,7 @@ from lgorb.orbifold import (
 from lgorb.molien import invariant_degree_dims
 from lgorb.polyring import Poly, WeightSystem
 from oracles import (
+    euler_total,
     galois,
     hessian,
     kernel_route,
@@ -730,16 +731,12 @@ def test_characters_and_reports_match_the_kernel_route(klein, hh, key, how):
 
 _DIMS_GROUPS = [(key, hat) for key in CATALOG_KEYS for hat in (False, True)]
 _DIMS_GROUPS += [("a", 300), ("e", 304), ("i", 308)]
+_DIMS_IDS = [
+    key + ("^" if how is True else "" if how is False else f"@{how}") for key, how in _DIMS_GROUPS
+]
 
 
-@pytest.mark.parametrize(
-    "key, how",
-    _DIMS_GROUPS,
-    ids=[
-        key + ("^" if how is True else "" if how is False else f"@{how}")
-        for key, how in _DIMS_GROUPS
-    ],
-)
+@pytest.mark.parametrize("key, how", _DIMS_GROUPS, ids=_DIMS_IDS)
 def test_dims_path_matches_the_reports(klein, hh, key, how):
     """The one cross-check of the dims path against the Groebner route:
     `compute_dims` gives each class's degree dimensions, in the order of
@@ -747,6 +744,17 @@ def test_dims_path_matches_the_reports(klein, hh, key, how):
     f, w = klein
     group = catalog_group(key, hat=how) if isinstance(how, bool) else _dense_conjugate(key, how)
     assert compute_dims(f, group, w) == [s.degree_dims for s in hh.report(group).sectors]
+
+
+@pytest.mark.parametrize("key, how", _DIMS_GROUPS, ids=_DIMS_IDS)
+def test_rank_only_totals_match_compute_dims(klein, hh, key, how):
+    """The Euler count over commuting pairs (`euler_total`), which reads
+    only ranks and determinants, gives the total of `compute_dims`: no
+    characteristic polynomial or series enters it.  That includes the
+    totals the records dispute (g 12, slf^ 6, and 8 for e^, g^, i^, j^)."""
+    f, w = klein
+    group = catalog_group(key, hat=how) if isinstance(how, bool) else _dense_conjugate(key, how)
+    assert euler_total(f, group, w) == hh.total(group)
 
 
 def test_only_classes_with_invariants_build_an_algebra(klein):
@@ -777,7 +785,7 @@ def test_weighted_characters_match_the_kernel_route():
     report = compute_hh(f, group, w)
     assert {s.rep_index: (s.degree_dims, s.invariant_basis) for s in report.sectors} == expected
     assert expected[0][0] == (1, 0, 3, 0, 1)
-    assert sum(sum(dims) for dims, _ in expected.values()) == 6
+    assert sum(sum(dims) for dims, _ in expected.values()) == 6 == euler_total(f, group, w)
     for rep, (dims, _) in expected.items():
         sector = _build_sector(f, group.elements[rep], w)
         assert invariant_degree_dims(group, sector, (0, 1), [1]) == dims
