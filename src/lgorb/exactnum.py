@@ -36,6 +36,10 @@ new field product.  Their memory grows with the distinct values interned
 and the distinct pairs multiplied: about 300 pairs for the 13 catalog
 reports, under 1,000 for 30 dense conjugates of catalog groups.
 Clearing either table costs speed only: values stay canonical.
+`CycNum.zero(n)` returns one shared object per conductor, so padding and
+empty sums share it and hot loops can skip it by identity; a zero made by
+arithmetic is an equal but distinct object, and no result depends on the
+sharing.
 
 Inverses work in the value's own subfield.  When p^2 divides n,
 Phi_n(x) = Phi_(n/p)(x^p), so a value of Q(zeta_n) whose nonzero
@@ -256,7 +260,8 @@ class CycNum:
 
     @classmethod
     def zero(cls, conductor: int = 1) -> "CycNum":
-        return _make(conductor, (0,) * _field(conductor).phi, 1)
+        """The zero of Q(zeta_n): one shared object per conductor (`_zero`)."""
+        return _zero(conductor)
 
     @classmethod
     def one(cls, conductor: int = 1) -> "CycNum":
@@ -551,6 +556,12 @@ def _make(conductor: int, nums: tuple[int, ...], den: int) -> CycNum:
     _set_den(value, den)
     _set_hash(value, None)
     return value
+
+
+@lru_cache(maxsize=None)
+def _zero(conductor: int) -> CycNum:
+    """The one zero object of a conductor (see the module docstring)."""
+    return _make(conductor, (0,) * _field(conductor).phi, 1)
 
 
 def zeta(n: int, k: int = 1) -> CycNum:

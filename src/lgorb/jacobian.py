@@ -261,17 +261,19 @@ class JacobianAlgebra:
         basis[i] * basis[j] as (index, coeff) pairs, filled on first use.  A
         pair whose degrees add up to more than the top degree is zero
         without an entry.  Each output coordinate that some pair reaches is
-        one fused `CycNum.dot` over those pairs; the others are zero."""
+        one fused `CycNum.dot` over those pairs; the others are zero.  The
+        shared zero (`CycNum.zero`) is skipped by identity before any truth
+        test; another zero is skipped by its value."""
         mu, basis, degrees = self.milnor, self.basis, self.degrees
         table = self._table
         if table is None:
             table = self._table = [[None] * mu for _ in range(mu)]
-        top = self.top_degree()
-        right = [(j, b, degrees[j]) for j, b in enumerate(v) if b]
+        top, zero = self.top_degree(), CycNum.zero(self.conductor)
+        right = [(j, b, degrees[j]) for j, b in enumerate(v) if b is not zero and b]
         lefts: dict[int, list[CycNum]] = {}
         rights: dict[int, list[CycNum]] = {}
         for i, a in enumerate(u):
-            if not a:
+            if a is zero or not a:
                 continue
             row, room = table[i], top - degrees[i]
             for j, b, d in right:
@@ -294,7 +296,6 @@ class JacobianAlgebra:
                     else:
                         reached.append(left)
                         rights[k].append(factor)
-        zero = CycNum.zero(self.conductor)
         return tuple(
             CycNum.dot(lefts[k], rights[k]) if k in lefts else zero for k in range(mu)
         )

@@ -77,17 +77,26 @@ def kernel_basis_with_free(matrix) -> tuple[list[Vector], list[int]]:
     rows = _as_rows(matrix)
     if not rows or not rows[0]:
         return [], []
-    ncols = len(rows[0])
-    reduced, pivots = rref(rows)
-    pivot_rows = dict(zip(pivots, reduced))
-    conductor = rows[0][0].conductor
+    reduced: dict[int, list[CycNum]] = {}
+    for row in rows:
+        _insert(reduced, row, len(row))
+    return _kernel_of(reduced, len(rows[0]), rows[0][0].conductor)
+
+
+def _kernel_of(
+    reduced: dict[int, list[CycNum]], ncols: int, conductor: int
+) -> tuple[list[Vector], list[int]]:
+    """`kernel_basis_with_free` of the rows reduced by `_insert` (pivot
+    column -> reduced row), for a matrix with `ncols` columns.  A reduced
+    row is zero left of its pivot and at every other pivot column, so the
+    vector of free column j is zero after j."""
     zero, one = CycNum.zero(conductor), CycNum.one(conductor)
     basis = []
-    free = [j for j in range(ncols) if j not in pivot_rows]
+    free = [j for j in range(ncols) if j not in reduced]
     for j in free:
         vec = [zero] * ncols
         vec[j] = one
-        for c, prow in pivot_rows.items():
+        for c, prow in reduced.items():
             if prow[j]:
                 vec[c] = -prow[j]
         basis.append(tuple(vec))

@@ -15,7 +15,9 @@ hands over its spanning tree, each element with the parent and generator
 that discovered it (a Schreier tree, same chapter).  The tree fills the
 right tables and the element words: a group with generator words spells
 each element as its parent's word followed by its generator's word, on
-first read, and a closure builds no string.
+first read, and a closure builds no string.  `word_for(i)` spells one
+element from its own path to the identity, so naming generators and class
+representatives builds no other word.
 
 A closure whose generators are all elements of one live group that an
 earlier closure built walks that group's right tables instead, and
@@ -308,7 +310,27 @@ class FiniteMatrixGroup:
         return iter(self.elements)
 
     def word_for(self, i: int) -> Optional[str]:
-        return self.words[i] if self.words is not None else None
+        """``words[i]``, read off the tree path from the identity to element
+        i alone, so no other element's word is built; None without
+        generator words."""
+        if self.generator_words is None:
+            return None
+        if i == 0:
+            return "id"
+        parts = []
+        while i:
+            i, k = self._parents[i]
+            parts.append(self.generator_words[k])
+        return "".join(reversed(parts))
+
+    @cached_property
+    def _parents(self) -> list:
+        """Per element, (parent, generator) of its tree edge; None for the
+        identity."""
+        parents: list = [None] * self.order
+        for child, parent, k in self._tree:
+            parents[child] = (parent, k)
+        return parents
 
     def inverse_index(self) -> tuple[int, ...]:
         if self._inverse_index is None:

@@ -46,12 +46,18 @@ from lgorb.jacobian import hilbert_dims
 def restriction_matrix(h, sector) -> tuple[tuple[CycNum, ...], ...]:
     """h restricted to Fix(g), written in the sector coordinates.  The fix
     basis has an identity block at `free_rows`, so only those rows of h
-    times each column are needed, and zero entries of a column are skipped."""
-    support = [
-        ([i for i, v in enumerate(col) if v], [v for v in col if v]) for col in sector.fix_basis
-    ]
+    times each column are needed, and zero entries of a column are skipped.
+    A column whose only nonzero entry is a 1 at row i is read as row[i]."""
+    support = []  # per column: its nonzero rows, and their values unless it is a unit column
+    for col in sector.fix_basis:
+        idx = [i for i, v in enumerate(col) if v]
+        unit = len(idx) == 1 and col[idx[0]].is_one()
+        support.append((idx, None if unit else [col[i] for i in idx]))
     return tuple(
-        tuple(CycNum.dot([row[i] for i in idx], vals) for idx, vals in support)
+        tuple(
+            row[idx[0]] if vals is None else CycNum.dot([row[i] for i in idx], vals)
+            for idx, vals in support
+        )
         for row in (h.rows[r] for r in sector.free_rows)
     )
 

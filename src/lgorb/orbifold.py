@@ -23,11 +23,21 @@ neither empty nor full: in the identity sector, where the invariants
 form a subalgebra, from products of lower-degree invariants, stopping at
 the predicted rank; otherwise, or when the products fall short, as a
 kernel of the block's action, whose dimension must equal the prediction.
+The kernel, too, stops eliminating at the rank the prediction implies and
+checks the remaining rows by dot products against the basis it has,
+resuming the elimination at the first row that fails, so a wrong
+prediction still meets the true dimension.
 Every basis is in the convention of `linalg.kernel_basis_with_free`,
 which depends on the subspace alone, so the route leaves no trace in the
 report.  The products route is a second path beside the kernel, kept
 because the benchmark justifies it: the `products` and `conjugate_sweep`
 workloads run measurably slower with kernels alone.
+
+In that convention each basis vector has a 1 at its last nonzero
+coordinate, where every other basis vector is 0.  So
+`identity_sector_products` needs no elimination either: a product's
+coordinates over the invariant basis are its entries at those positions,
+and every other entry is checked against them with one dot product.
 
 The action needs no division: h^-1 also commutes with g, so
 (h|Fix(g))^-1 = h^-1|Fix(g) is read off the group's own inverse.  The
@@ -35,10 +45,12 @@ images of the standard monomials are coordinate vectors built in basis
 order, and only up to the highest degree block needed: each is the image
 of a monomial one degree lower times the class of one substituted linear
 form, multiplied through the sector algebra's product table
-(`JacobianAlgebra.multiply`).  Invariant products in the identity sector
-go through the same table.  Once an algebra's table holds the entries a
-computation needs, nothing is multiplied as a polynomial, and nothing is
-normal-formed unless a substituted variable is not a standard monomial.
+(`JacobianAlgebra.multiply`); a fixed-locus column that is a unit vector
+is read as one entry of h, not multiplied (`molien.restriction_matrix`).
+Invariant products in the identity sector go through the same table.
+Once an algebra's table holds the entries a computation needs, nothing is
+multiplied as a polynomial, and nothing is normal-formed unless a
+substituted variable is not a standard monomial.
 
 Element-level results are memoized once per process, like the Jacobian
 algebras of `lgorb.jacobian`: `_build_sector` by (f, g, weights) and the
@@ -196,14 +208,24 @@ class _DegreeAction:
         return tuple(zip(*columns))
 
 
-def invariant_subspace(actions: Sequence[Matrix]) -> tuple[int, tuple[tuple[CycNum, ...], ...]]:
+def invariant_subspace(
+    actions: Sequence[Matrix], dim: int
+) -> tuple[int, tuple[tuple[CycNum, ...], ...]]:
     """Dimension and basis of the common fixed subspace of the given action
-    matrices.
+    matrices, where `dim` is the dimension the caller predicts.
 
     The matrices are read as generators of a finite group action; the joint
     kernel of (M - id) equals the image of the group-averaging (Reynolds)
     operator of the generated group, so this is that image, computed
     without enumerating the group.
+
+    The stacked rows of every M - id are inserted (`linalg._insert`) until
+    their rank reaches size - dim.  The kernel of those rows is then the
+    prediction, and each remaining row is checked by dot products to
+    annihilate it; a row that does not is inserted, with every row after
+    it.  Either way the rows inserted span all the rows, and the basis, in
+    the convention of `linalg.kernel_basis_with_free`, depends on that span
+    alone: the result is the full elimination's for every `dim`.
     """
     if not actions:
         raise ValueError("need at least one action matrix")
@@ -218,8 +240,28 @@ def invariant_subspace(actions: Sequence[Matrix]) -> tuple[int, tuple[tuple[CycN
             row = list(m[i])
             row[i] = row[i] - one
             stacked.append(row)
-    basis, _ = linalg.kernel_basis_with_free(stacked)
+    zero = CycNum.zero(conductor)
+    reduced: dict[int, list[CycNum]] = {}
+    k = 0
+    while k < len(stacked) and len(reduced) != size - dim:
+        linalg._insert(reduced, stacked[k], size)
+        k += 1
+    basis, _ = linalg._kernel_of(reduced, size, conductor)
+    supports = [[(i, c) for i, c in enumerate(v) if c] for v in basis]
+    for j in range(k, len(stacked)):
+        row = stacked[j]
+        if any(_sparse_dot([(row[i], c) for i, c in s if row[i]], zero) for s in supports):
+            for row in stacked[j:]:
+                linalg._insert(reduced, row, size)
+            basis, _ = linalg._kernel_of(reduced, size, conductor)
+            break
     return len(basis), tuple(basis)
+
+
+def _sparse_dot(terms: list[tuple[CycNum, CycNum]], zero: CycNum) -> CycNum:
+    """sum(a * b for a, b in terms) as one fused `CycNum.dot`; `zero` when
+    there are no terms."""
+    return CycNum.dot(*zip(*terms)) if terms else zero
 
 
 @dataclass(frozen=True)
@@ -311,7 +353,7 @@ def _class_invariants(
                     _DegreeAction(group.elements[i], group.elements[inverse[i]], sector)
                     for i in zgens
                 ]
-                found, vecs = invariant_subspace([a.block(b) for a in actions])
+                found, vecs = invariant_subspace([a.block(b) for a in actions], dim)
                 if found != dim:
                     raise CharacterError(
                         f"degree {b}: the invariant kernel has dimension {found}, "
@@ -370,8 +412,9 @@ def check_generators(f: Poly, generators: Sequence[GMatrix], names: Sequence[str
 
 
 def _check_group(f: Poly, group: FiniteMatrixGroup):
-    """`check_generators` on the group's generators, named by word, else
-    `#index`; a group that passes is recorded as validated for f."""
+    """`check_generators` on the group's generators, named by word (one
+    tree path each, `word_for`), else `#index`; a group that passes is
+    recorded as validated for f."""
     names = [group.word_for(i) or f"#{i}" for i in group.generator_indices]
     check_generators(f, group.generators, names)
     _VALIDATED.setdefault(f, weakref.WeakSet()).add(group)
@@ -428,7 +471,7 @@ def compute_hh(f: Poly, group: FiniteMatrixGroup, weights: WeightSystem) -> HHRe
         "dimension": group.n,
         "conductor": group.conductor,
         "generator_words": [group.word_for(i) for i in group.generator_indices]
-        if group.words is not None
+        if group.generator_words is not None
         else None,
     }
     return HHReport(
@@ -458,13 +501,18 @@ def identity_sector_products(
 
     Every pair product b_i b_j (i <= j) is written as a vector over the
     Jacobian algebra's monomial basis by the algebra's product table
-    (`JacobianAlgebra.multiply`), and all of them are solved against the
-    invariant basis in one elimination (`linalg.solve` with one right-hand
-    side per pair).  A product outside the invariant span raises
-    ValueError.  A pair whose lowest weighted degrees add up to more than
-    the algebra's top degree is the zero vector, with no product: the
-    Jacobian ideal is weighted-homogeneous, so normal forms keep degree,
-    and no standard monomial lies above the top degree.
+    (`JacobianAlgebra.multiply`), and its coordinates over the invariant
+    basis are read off, with no elimination.  The basis is in the
+    convention of `linalg.kernel_basis_with_free`: each vector has a 1 at
+    its last nonzero coordinate, where every other basis vector is 0, so a
+    product in the invariant span has its k-th coordinate at the k-th
+    vector's last nonzero position.  Every other coordinate of the product
+    is checked against the combination read, one `CycNum.dot` each; a
+    product outside the invariant span raises ValueError.  A pair whose
+    lowest weighted degrees add up to more than the algebra's top degree
+    has zero coordinates, with no product: the Jacobian ideal is
+    weighted-homogeneous, so normal forms keep degree, and no standard
+    monomial lies above the top degree.
     """
     _check_group(f, group)
     sector, everything = _build_sector(f, group.elements[0], weights), range(group.order)
@@ -472,20 +520,26 @@ def identity_sector_products(
     vectors = _class_invariants(group, sector, group.generator_indices, dims)
     algebra = sector.algebra
     basis = tuple(_class_poly(algebra, v) for v in vectors)
-    matrix = [list(row) for row in zip(*vectors)]
     pairs = [(i, j) for i in range(len(basis)) for j in range(i, len(basis))]
     # the basis is sorted by degree, so a class's first nonzero coordinate has its lowest degree
     low = [next((algebra.degrees[k] for k, c in enumerate(v) if c), 0) for v in vectors]
     top = algebra.top_degree()
-    zero = (CycNum.zero(algebra.conductor),) * algebra.milnor
-    rhs = [
-        zero if low[i] + low[j] > top else algebra.multiply(vectors[i], vectors[j])
-        for i, j in pairs
+    lead = [max(k for k, c in enumerate(v) if c) for v in vectors]
+    # per other coordinate, the basis vectors nonzero there, as (basis index, value)
+    others = [
+        (k, [(m, v[k]) for m, v in enumerate(vectors) if v[k]])
+        for k in sorted(set(range(algebra.milnor)) - set(lead))
     ]
-    solutions = linalg.solve(matrix, rhs)
-    if any(coeffs is None for coeffs in solutions):
-        raise ValueError("product left the invariant subspace")
-    return ProductTable(
-        basis=basis,
-        products={pair: tuple(coeffs) for pair, coeffs in zip(pairs, solutions)},
-    )
+    zero = CycNum.zero(algebra.conductor)
+    products = {}
+    for i, j in pairs:
+        if low[i] + low[j] > top:
+            products[i, j] = (zero,) * len(basis)
+            continue
+        product = algebra.multiply(vectors[i], vectors[j])
+        coeffs = tuple(product[k] for k in lead)
+        for k, column in others:
+            if product[k] != _sparse_dot([(coeffs[m], c) for m, c in column if coeffs[m]], zero):
+                raise ValueError("product left the invariant subspace")
+        products[i, j] = coeffs
+    return ProductTable(basis=basis, products=products)

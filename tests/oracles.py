@@ -5,7 +5,9 @@ membership is decided by dense linear algebra on graded slices over
 Fractions/CycNum, products of roots of unity are expanded by exponent
 arithmetic, and determinants are expanded by hand.  The route oracles are
 the slower, more direct ways the engine used to compute a result (matrix
-products instead of tables, one elimination per right-hand side, full
+products instead of tables, one elimination per right-hand side, one
+elimination for all products of invariants instead of coordinates read
+off the basis, every stacked row of an invariant kernel eliminated, full
 substitutions, substitutions by repeated multiplication, Euclid over
 Fractions, a kernel for every degree block,
 a dense convolution and reduction for every field product, row operations
@@ -38,7 +40,6 @@ from lgorb.orbifold import (
     HHReport,
     SectorReport,
     _build_sector,
-    invariant_subspace,
     restriction_matrix,
     sector_action,
 )
@@ -352,6 +353,27 @@ def pairwise_product_table(algebra, basis) -> dict:
     return products
 
 
+def solved_product_table(algebra, vectors) -> dict:
+    """Products b_i b_j (i <= j) of the invariant classes with coordinates
+    `vectors`, written over those classes by one elimination
+    (`linalg.solve` with one right-hand side per pair): the route to
+    identity_sector_products that eliminates instead of reading
+    coordinates off the basis.  Pairs above the top degree are zero with
+    no product, as there."""
+    matrix = [list(row) for row in zip(*vectors)]
+    pairs = [(i, j) for i in range(len(vectors)) for j in range(i, len(vectors))]
+    low = [next((algebra.degrees[k] for k, c in enumerate(v) if c), 0) for v in vectors]
+    zero = (CycNum.zero(algebra.conductor),) * algebra.milnor
+    rhs = [
+        zero if low[i] + low[j] > algebra.top_degree() else algebra.multiply(vectors[i], vectors[j])
+        for i, j in pairs
+    ]
+    solutions = linalg.solve(matrix, rhs)
+    if any(coeffs is None for coeffs in solutions):
+        raise ValueError("product left the invariant subspace")
+    return {pair: tuple(coeffs) for pair, coeffs in zip(pairs, solutions)}
+
+
 def substitution_sector_action(h, sector):
     """Action of a centralizing h on the sector by the substitution route:
     invert A = h|Fix(g) by Gauss-Jordan, expand every basis monomial at
@@ -622,6 +644,22 @@ def reynolds_image(actions) -> tuple[int, tuple]:
     return len(basis), tuple(basis)
 
 
+def full_invariant_subspace(actions) -> tuple[int, tuple]:
+    """The common fixed subspace of the action matrices with every stacked
+    row of M - id eliminated (`linalg.kernel_basis_with_free`): the route
+    to `invariant_subspace` that takes no predicted dimension."""
+    size = len(actions[0])
+    one = CycNum.one(actions[0][0][0].conductor if size else 1)
+    stacked = []
+    for m in actions:
+        for i in range(size):
+            row = list(m[i])
+            row[i] = row[i] - one
+            stacked.append(row)
+    basis, _ = linalg.kernel_basis_with_free(stacked)
+    return len(basis), tuple(basis)
+
+
 def poly_from_vector(algebra, vec) -> Poly:
     """The polynomial with coordinates vec over the algebra's monomial basis."""
     terms = {m: c for m, c in zip(algebra.basis, vec) if c}
@@ -632,7 +670,7 @@ def kernel_route(f, group, weights) -> dict:
     """{class representative: (degree dimensions, invariant basis)} by the
     route that solves every degree block: the full `sector_action` of each
     centralizer generator, cut into its degree blocks (the off-block
-    entries must vanish), and `invariant_subspace` on each block; a
+    entries must vanish), and `full_invariant_subspace` on each block; a
     trivial centralizer keeps the whole sector."""
     conj = group.conjugacy()
     out = {}
@@ -650,7 +688,7 @@ def kernel_route(f, group, weights) -> dict:
                         raise ValueError("sector action does not preserve the grading")
             blocks = [tuple(tuple(m[i][j] for j in rng) for i in rng) for m in actions]
             if blocks and len(rng):
-                dim, vecs = invariant_subspace(blocks)
+                dim, vecs = full_invariant_subspace(blocks)
             else:
                 dim = len(rng)
                 vecs = [tuple(one if k == i else zero for k in range(dim)) for i in range(dim)]

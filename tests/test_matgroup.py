@@ -396,6 +396,23 @@ def test_catalog_words_match_the_per_element_concatenation(key, hat):
     assert group.words == tuple(oracles.closure_words(group.generators, group.generator_words))
 
 
+@pytest.mark.parametrize("hat", [False, True], ids=["", "hat"])
+@pytest.mark.parametrize("key", CATALOG_KEYS)
+def test_word_for_reads_one_word_off_its_tree_path(key, hat):
+    """`word_for(i)` spells element i from its own tree path: it equals
+    `words[i]` on every element, and a fresh closure of the same
+    generator words answers it without building `words`."""
+    base = catalog_group(key)
+    fresh = generate_closure(list(base.generators), words=list(base.generator_words))
+    if hat:
+        fresh = hat_extend(fresh)
+    spelled = [fresh.word_for(i) for i in range(fresh.order)]
+    assert "words" not in vars(fresh)
+    group = catalog_group(key, hat)
+    assert fresh.elements == group.elements
+    assert spelled == [group.word_for(i) for i in range(group.order)] == list(group.words)
+
+
 _DEGENERATE_LISTS = {
     "repeated": ["T", "T^4"],  # one matrix under two different words
     "identity": ["R^2", "T", "S"],

@@ -31,6 +31,7 @@ from lgorb.molien import invariant_degree_dims
 from lgorb.polyring import Poly, WeightSystem
 from oracles import (
     euler_total,
+    full_invariant_subspace,
     galois,
     hessian,
     kernel_route,
@@ -39,6 +40,7 @@ from oracles import (
     residue_pairing,
     reynolds_image,
     rho,
+    solved_product_table,
     substitution_sector_action,
     surface_cohomology_dim,
 )
@@ -199,8 +201,9 @@ def test_invariant_subspace_trivial_and_reynolds_agreement(klein, rng):
     identity_action = tuple(
         tuple(one if i == j else zero for j in range(4)) for i in range(4)
     )
-    dim, basis = invariant_subspace([identity_action])
-    assert dim == 4 and len(basis) == 4
+    for predicted in (0, 3, 4):
+        dim, basis = invariant_subspace([identity_action], predicted)
+        assert dim == 4 and len(basis) == 4
     # dual route: generator-kernel vs full group averaging, on real sectors
     group = catalog_group("e")
     data = group.conjugacy()
@@ -211,8 +214,8 @@ def test_invariant_subspace_trivial_and_reynolds_agreement(klein, rng):
         ]
         gens = group.subgroup_generator_indices(data.centralizers[rep])
         gen_actions = [sector_action(group.elements[i], sector) for i in gens]
-        dim_kernel, basis_kernel = invariant_subspace(gen_actions or all_actions)
         dim_avg, basis_avg = reynolds_image(all_actions)
+        dim_kernel, basis_kernel = invariant_subspace(gen_actions or all_actions, dim_avg)
         assert dim_kernel == dim_avg
         if dim_avg:
             stack = [list(v) for v in basis_kernel + basis_avg]
@@ -289,10 +292,16 @@ def test_abelian_shortcut_equivalence(klein):
         report = compute_hh(f, group, w)
         direct_total = 0
         gens = [group.elements[i] for i in group.generator_indices]
-        for g in group.elements:
+        # each class is one element, so its characters predict its kernel
+        predicted = {
+            rep: sum(dims)
+            for (rep, _), dims in zip(group.conjugacy().classes, compute_dims(f, group, w))
+        }
+        for i, g in enumerate(group.elements):
             sector = build_sector(f, g, w)
             actions = [sector_action(h, sector) for h in gens]
-            dim, _ = invariant_subspace(actions)
+            dim, _ = invariant_subspace(actions, predicted[i])
+            assert dim == predicted[i]
             direct_total += dim
         assert direct_total == report.total_dim
 
@@ -755,6 +764,172 @@ def test_rank_only_totals_match_compute_dims(klein, hh, key, how):
     f, w = klein
     group = catalog_group(key, hat=how) if isinstance(how, bool) else _dense_conjugate(key, how)
     assert euler_total(f, group, w) == hh.total(group)
+
+
+@pytest.mark.parametrize("key, how", _DIMS_GROUPS, ids=_DIMS_IDS)
+def test_read_off_routes_match_the_eliminations(klein, key, how):
+    """The product table, whose coordinates are read off the invariant
+    basis, equals one `linalg.solve` of every product against it; and the
+    invariant kernel of every degree block of every class, stopped at the
+    rank the characters predict, equals the elimination of all its rows,
+    dimension and basis."""
+    f, w = klein
+    group = catalog_group(key, hat=how) if isinstance(how, bool) else _dense_conjugate(key, how)
+    table = identity_sector_products(f, group, w)
+    algebra = _build_sector(f, group.elements[0], w).algebra
+    zero = CycNum.zero(algebra.conductor)
+    vectors = [tuple(p.terms.get(m, zero) for m in algebra.basis) for p in table.basis]
+    assert list(table.products.items()) == list(solved_product_table(algebra, vectors).items())
+    inverse = group.inverse_index()
+    for _, _, _, sector, zgens, dims in orbifold._class_data(f, group, w):
+        if not any(dims) or not zgens:
+            continue
+        actions = [
+            _DegreeAction(group.elements[i], group.elements[inverse[i]], sector) for i in zgens
+        ]
+        for b, (rng, dim) in enumerate(zip(sector.algebra.degree_slices(), dims)):
+            if 0 < dim < len(rng):
+                blocks = [a.block(b) for a in actions]
+                assert invariant_subspace(blocks, dim) == full_invariant_subspace(blocks)
+
+
+def _random_actions(rng, size, rank, count):
+    """`count` matrices M at conductor 7 whose rows of M - id are random
+    combinations of `rank` random rows, some of them zero."""
+    def value():
+        return sum((zeta(7, k) * rng.randint(-2, 2) for k in range(3)), CycNum.zero(7))
+
+    base = [[value() for _ in range(size)] for _ in range(rank)]
+    one = CycNum.one(7)
+    rows = []
+    for _ in range(count * size):
+        row = [CycNum.zero(7)] * size
+        for r in base:
+            c = rng.choice((-1, 0, 0, 1, 2))
+            row = [a + c * b for a, b in zip(row, r)]
+        rows.append(row)
+    return [
+        tuple(
+            tuple(v + one if i == j else v for j, v in enumerate(rows[m * size + i]))
+            for i in range(size)
+        )
+        for m in range(count)
+    ]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_a_stopped_kernel_equals_the_full_elimination_for_every_prediction(seed):
+    """Seeded stacks of every rank: a prediction too small (the rank is
+    never reached, so every row is eliminated), exact, or too large (a
+    remaining row fails the check and elimination resumes) gives the
+    dimension and basis of the full elimination, and so does any
+    prediction outside 0..size."""
+    rng = random.Random(seed)
+    size = rng.randint(2, 6)
+    for rank in range(size + 1):
+        actions = _random_actions(rng, size, rank, rng.randint(1, 3))
+        expected = full_invariant_subspace(actions)
+        for dim in range(-1, size + 2):
+            assert invariant_subspace(actions, dim) == expected, (size, rank, dim)
+
+
+def test_a_product_outside_the_invariant_span_raises(klein, monkeypatch):
+    """Coordinates are read off the basis and every other coordinate is
+    checked: with the unit and one degree-2 monomial whose square is a
+    nonzero class as the "invariants", that square leaves their span."""
+    f, w = klein
+    algebra = jacobian_algebra(f, w)
+    zero, one = CycNum.zero(f.conductor), CycNum.one(f.conductor)
+
+    def unit(k):
+        return tuple(one if i == k else zero for i in range(algebra.milnor))
+
+    k = next(k for k in algebra.degree_slices()[2] if any(algebra.multiply(unit(k), unit(k))))
+    monkeypatch.setattr(orbifold, "_class_invariants", lambda *args: [unit(0), unit(k)])
+    with pytest.raises(ValueError, match="^product left the invariant subspace$"):
+        identity_sector_products(f, catalog_group("e", hat=True), w)
+
+
+@pytest.mark.parametrize("short", [1, 2])
+def test_a_prediction_below_the_kernel_raises_with_the_dimension_found(klein, monkeypatch, short):
+    """The kernel that the characters under-predict is eliminated in full,
+    so the error names the dimension it has: degree 2 of catalog d's
+    identity sector, where one product of invariants falls short of the
+    prediction and the kernel is taken."""
+    f, w = klein
+    honest = orbifold.invariant_degree_dims
+
+    def too_few(group, sector, centralizer, zgens):
+        dims = list(honest(group, sector, centralizer, zgens))
+        if sector.fix_dim == 3:
+            dims[2] -= short
+        return tuple(dims)
+
+    monkeypatch.setattr(orbifold, "invariant_degree_dims", too_few)
+    message = f"^degree 2: the invariant kernel has dimension 4, the character average {4 - short}$"
+    with pytest.raises(CharacterError, match=message):
+        compute_hh(f, catalog_group("d"), w)
+
+
+def test_products_workload_solves_nothing(klein, monkeypatch):
+    """Work counts, not times, over the 20 product tables of the benchmark's
+    `products` workload (entries a to j, with and without -id): no
+    `linalg.solve`, at most 133 rows inserted into invariant kernels and
+    at most 152 field inverses.  The bounds are the counts of one pass in
+    a fresh process after the Klein algebra is built; memos warmed by
+    other tests only lower the inverses.  Eliminating every product and
+    every kernel row made 20 solves, 283 kernel rows and 278 inverses."""
+    f, w = klein
+    counts = {"solve": 0, "kernel rows": 0, "inverse": 0}
+    in_kernel = []
+    insert, kernel, solve, inverse = (
+        linalg._insert,
+        orbifold.invariant_subspace,
+        linalg.solve,
+        CycNum.inverse,
+    )
+
+    def counted_insert(*args):
+        counts["kernel rows"] += bool(in_kernel)
+        return insert(*args)
+
+    def counted_kernel(*args):
+        in_kernel.append(True)
+        try:
+            return kernel(*args)
+        finally:
+            in_kernel.pop()
+
+    def counted_solve(*args):
+        counts["solve"] += 1
+        return solve(*args)
+
+    def counted_inverse(self):
+        counts["inverse"] += 1
+        return inverse(self)
+
+    monkeypatch.setattr(linalg, "_insert", counted_insert)
+    monkeypatch.setattr(orbifold, "invariant_subspace", counted_kernel)
+    monkeypatch.setattr(linalg, "solve", counted_solve)
+    monkeypatch.setattr(CycNum, "inverse", counted_inverse)
+    for key in "abcdefghij":
+        for hat in (False, True):
+            identity_sector_products(f, catalog_group(key, hat=hat), w)
+    assert counts["solve"] == 0
+    assert counts["kernel rows"] <= 133
+    assert counts["inverse"] <= 152
+
+
+def test_compute_hh_leaves_the_words_of_slf_hat_unbuilt(klein, hh):
+    """Generators and class representatives are named by `word_for`, one
+    tree path each: a fresh closure of slf^ reports the catalog group's
+    words without building the word of every element."""
+    f, w = klein
+    base = catalog_group("slf")
+    group = hat_extend(generate_closure(list(base.generators), words=list(base.generator_words)))
+    report = compute_hh(f, group, w)
+    assert "words" not in vars(group)
+    assert report == hh.report(catalog_group("slf", hat=True))
 
 
 def test_only_classes_with_invariants_build_an_algebra(klein):

@@ -70,12 +70,14 @@ def test_every_exported_name_has_a_user():
 
 def test_engine_entry_points_take_their_settings_as_plain_arguments():
     """Weights, the closure cap, the product basis and the kernel's stop
-    have one value outside the tests, so the entry points take no optional
-    setting: generator words are the only defaulted parameter."""
+    have one value outside the tests, and the invariant kernel's predicted
+    dimension comes from the characters, so the entry points take no
+    optional setting: generator words are the only defaulted parameter."""
     entry_points = {
         orbifold.compute_dims: ["f", "group", "weights"],
         orbifold.compute_hh: ["f", "group", "weights"],
         orbifold.identity_sector_products: ["f", "group", "weights"],
+        orbifold.invariant_subspace: ["actions", "dim"],
         orbifold.build_sector: ["f", "g", "weights"],
         jacobian.jacobian_algebra: ["f", "w"],
         matgroup.generate_closure: ["generators", "words"],
